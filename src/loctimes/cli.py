@@ -29,6 +29,8 @@ from .chain import (
     validate_generator,
 )
 from .density import (
+    CapacityError,
+    ConvergenceError,
     density_finite_difference,
     density_quadrature,
     density_series,
@@ -44,7 +46,7 @@ from .ldp import (
 )
 from .oracles import SimplexChart, range_exact_prob, simplex_integrate
 from .rayknight import rk_statistical_test
-from .simulate import mc_event_functional
+from .simulate import SimulationError, mc_event_functional
 
 
 class ConfigError(ValueError):
@@ -360,8 +362,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--assert", dest="assert_checks", action="store_true",
                        help="exit nonzero if the command's consistency check fails")
         p.add_argument("--no-timestamp", action="store_true")
-        p.add_argument("--plot-data", action="store_true",
-                       help="emit long-form rows (the default tables already are)")
         if name == "rayknight-test":
             p.add_argument("--b", type=int, default=None)
             p.add_argument("--h", type=float, default=None)
@@ -374,7 +374,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.set)
         table, ok = COMMANDS[args.command](cfg, args)
-    except (ConfigError, GeneratorError, ValueError, OSError) as exc:
+    except (ConfigError, GeneratorError, ValueError, OSError,
+            ConvergenceError, CapacityError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = table.render(timestamp=not args.no_timestamp)

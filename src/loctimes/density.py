@@ -423,7 +423,13 @@ class SeriesEvaluator:
         return value, err
 
     def values(self, L: np.ndarray, chunk: int | None = None):
-        """Vectorized evaluation over rows of ``L`` (each a local-time vector)."""
+        """Vectorized evaluation over rows of ``L`` (each a local-time vector).
+
+        Returns the values and each row's factorial tail bound.  Raises
+        ``ConvergenceError`` when the degree reaches ``max_degree`` and some
+        row's tail, times its diagonal prefactor, exceeds the tolerance
+        that ``value`` applies.
+        """
         L = np.asarray(L, dtype=float)
         sql = np.sqrt(L)
         strengths = np.einsum("xy,ix,iy->i", np.abs(self.Bint), sql, sql)
@@ -436,6 +442,7 @@ class SeriesEvaluator:
         if chunk is None:
             # keep the (chunk, flows) working array near 128 MB
             chunk = max(32, int(16_000_000 // max(len(coeff), 1)))
+        prefactor = np.exp(L @ self.diag)
         out = np.empty(len(L))
         for lo in range(0, len(L), chunk):
             block = L[lo : lo + chunk]
@@ -451,8 +458,15 @@ class SeriesEvaluator:
                 else:
                     part = part * det
                 acc += part
-            out[lo : lo + chunk] = acc * np.exp(block @ self.diag)
+            out[lo : lo + chunk] = acc * prefactor[lo : lo + chunk]
         tail = strengths ** (K + 1) / factorial(min(K + 1, 170))
+        if K >= self.max_degree:
+            err = prefactor * tail
+            # written so that a nan error (overflowed tail) also raises
+            if not np.all(err <= np.maximum(self.tol * np.abs(out), 1e-13)):
+                raise ConvergenceError(
+                    f"density series truncated at degree {K} (tail ~ {np.nanmax(err):.2e})"
+                )
         return out, tail
 
 

@@ -501,9 +501,9 @@ def rescaled_bound_experiment(
     """Tabulate the scaled finite-horizon upper bound against the discrete
     variational value across horizons, with the scale alpha = T^exponent.
 
-    For each T the box lattice has interior radius floor(radius * alpha);
-    the row reports the scaled error terms and the scaled bound alongside
-    the discrete variational value.
+    For each T the box lattice has interior radius floor(radius * alpha),
+    which must be at least 1; the row reports the scaled error terms and
+    the scaled bound alongside the discrete variational value.
 
     The scaled error terms (alpha^2 / T) * (|S| log(eta sqrt(8e) T) +
     log|S| + |S|/(4T)), with |S| of order alpha^dim, vanish at the rate
@@ -515,8 +515,14 @@ def rescaled_bound_experiment(
     rows = []
     for T in T_values:
         alpha = float(T) ** alpha_exponent
-        n_int = int(np.floor(radius * alpha))
-        n_per_axis = max(2 * n_int + 1, 2)
+        # a few ulps of slack, so an exact power (1e6 ** (1/3) evaluates to
+        # 99.99999999999997) keeps its outer lattice layer
+        n_int = int(np.floor(radius * alpha * (1.0 + 8 * np.finfo(float).eps)))
+        if n_int == 0:
+            raise ValueError(
+                f"box at T={T} has a single site (radius * alpha = {radius * alpha:.3g} < 1)"
+            )
+        n_per_axis = 2 * n_int + 1
         n_sites = n_per_axis ** dim
         # rate-1-per-neighbor walk on the box: row/column sums of the jump
         # matrix are at most 2*dim, floored at 1

@@ -40,9 +40,11 @@ def matrix_exponential(M, T: float = 1.0) -> np.ndarray:
 
     The matrix is scaled by a power of two until its 1-norm is below 1/2,
     the exponential of the scaled matrix is summed to machine precision,
-    and the result is squared back up.
+    and the result is squared back up.  Real input gives a real result,
+    complex input a complex one.
     """
-    M = np.asarray(M, dtype=float) * T
+    M = np.asarray(M)
+    M = M.astype(np.result_type(M, float)) * T
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(M)):
@@ -53,8 +55,8 @@ def matrix_exponential(M, T: float = 1.0) -> np.ndarray:
         raise OverflowError(f"matrix norm {norm:.2e} too large to exponentiate")
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
     S = M / (2.0 ** squarings)
-    E = np.eye(n)
-    term = np.eye(n)
+    E = np.eye(n, dtype=M.dtype)
+    term = np.eye(n, dtype=M.dtype)
     for k in range(1, 40):
         term = term @ S / k
         E += term
@@ -143,7 +145,7 @@ def resolvent_check(
 
     def entry(ts):
         return np.array(
-            [_expm_complex(sub, t)[ia, ib] for t in ts], dtype=complex
+            [matrix_exponential(sub, t)[ia, ib] for t in ts], dtype=complex
         )
 
     nodes, weights = leggauss(16)
@@ -162,24 +164,6 @@ def resolvent_check(
         prev = total
         panels *= 2
     return float(abs(total - exact))
-
-
-def _expm_complex(M: np.ndarray, t: float) -> np.ndarray:
-    n = M.shape[0]
-    S = M * t
-    norm = np.abs(S).sum(axis=0).max()
-    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
-    S = S / (2.0 ** squarings)
-    E = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, 40):
-        term = term @ S / k
-        E += term
-        if np.abs(term).max() < 1e-18 * np.abs(E).max():
-            break
-    for _ in range(squarings):
-        E = E @ E
-    return E
 
 
 # ---------------------------------------------------------------------------

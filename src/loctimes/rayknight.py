@@ -17,22 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
+from .chain import validate_generator
+from .simulate import run_lockstep
 
 __all__ = [
-    "BesselValue",
     "bessel_i",
     "bessel_i_scaled",
     "f_kernel",
@@ -46,13 +34,6 @@ __all__ = [
 ]
 
 ASYMPTOTIC_SWITCH = 30.0
-
-
-@dataclass(frozen=True)
-class BesselValue:
-    argument: float
-    order: int
-    value: float
 
 
 def bessel_i_scaled(order: int, z) -> np.ndarray | float:
@@ -182,90 +163,7 @@ def sample_pstar(h1, rng: np.random.Generator, size=None):
 
 
 # ---------------------------------------------------------------------------
-# jitted 1D walk to the inverse local time
-
-
-@njit(cache=True)
-def _splitmix64(state):
-    state = (state + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z = state
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    return state, z ^ (z >> np.uint64(31))
-
-
-@njit(cache=True)
-def _uniform01(state):
-    state, z = _splitmix64(state)
-    return state, (np.float64(z >> np.uint64(11)) + 0.5) * (1.0 / 9007199254740992.0)
-
-
-@njit(cache=True)
-def _mix64(x):
-    """Bijective 64-bit finalizer; used to place per-path streams at
-    pseudo-random offsets of the underlying sequence so streams do not
-    overlap for adjacent path indices."""
-    z = x & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z ^= z >> np.uint64(33)
-    z = (z * np.uint64(0xFF51AFD7ED558CCD)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z ^= z >> np.uint64(33)
-    z = (z * np.uint64(0xC4CEB9FE1A85EC53)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z ^= z >> np.uint64(33)
-    return z
-
-
-@njit(cache=True)
-def _walk_batch(seed, n_paths, b, h, depth, max_events):
-    """Simulate n_paths rate-1-per-neighbor walks on Z from 0 until the
-    local time at b reaches h, recording local times at positions
-    -depth .. b+depth.  Returns (records, censored flags).
-
-    An excursion beyond the recorded window touches no recorded site and
-    accrues no local time at b, and the walk re-enters through the site it
-    left (the state space is one-dimensional), so the excursion is
-    replaced by an instantaneous return to that boundary site.  The
-    recorded profile has exactly the law of the unrestricted walk's, while
-    the event count per path gains light tails.
-    """
-    width = b + 2 * depth + 1  # positions -depth .. b+depth, offset depth
-    records = np.zeros((n_paths, width))
-    censored = np.zeros(n_paths, dtype=np.bool_)
-    lo = -depth
-    hi = b + depth
-    for p in range(n_paths):
-        # per-path stream keyed by (seed, path index)
-        state = _mix64(
-            np.uint64(seed) * np.uint64(0x9E3779B97F4A7C15)
-            + np.uint64(p) * np.uint64(0xD1342543DE82EF95)
-            + np.uint64(0x2545F4914F6CDD1D)
-        )
-        pos = 0
-        at_b = 0.0
-        events = 0
-        done = False
-        while not done:
-            state, u = _uniform01(state)
-            hold = -np.log(u) / 2.0
-            if pos == b and at_b + hold >= h:
-                records[p, pos + depth] += h - at_b
-                done = True
-                break
-            if pos == b:
-                at_b += hold
-            records[p, pos + depth] += hold
-            state, v = _uniform01(state)
-            step = 1 if v < 0.5 else -1
-            nxt = pos + step
-            if lo <= nxt <= hi:
-                pos = nxt
-            # else: excursion outside the window, collapsed to a return
-            events += 1
-            if events >= max_events:
-                censored[p] = True
-                done = True
-        if not censored[p]:
-            records[p, b + depth] = h
-    return records, censored
+# 1D walk to the inverse local time
 
 
 @dataclass
@@ -297,19 +195,33 @@ def simulate_profiles(
     depth: int = 12,
     max_events: int = 2_000_000,
 ) -> ProfileBatch:
-    """Run the jitted walk batch and collect the uncensored profiles."""
+    """Run walks from 0 until the local time at b reaches h and collect the
+    uncensored local-time profiles on -depth .. b+depth.
+
+    The walk jumps at rate 1 to each neighbour.  An excursion beyond the
+    recorded window touches no recorded site and accrues no local time at
+    b, and it re-enters through the site it left, so the window's boundary
+    sites jump inward only, at rate 1: by memorylessness the recorded
+    profile has exactly the law of the unrestricted walk's.  Paths that
+    make ``max_events`` jumps are censored.
+    """
     if b < 1 or h <= 0:
         raise ValueError("need b >= 1 and h > 0")
-    records, censored = _walk_batch(
-        np.uint64(seed), n_paths, b, float(h), depth, max_events
-    )
-    keep = ~censored
+    width = b + 2 * depth + 1
+    A = np.eye(width, k=1) + np.eye(width, k=-1)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    walk = validate_generator(A, states=range(-depth, b + depth + 1))
+    parts = run_lockstep(walk, 0, n_paths, seed, h, walk.states,
+                         lambda local, _, censored: (local[~censored, :-1], int(censored.sum())),
+                         site=b, max_jumps=max_events)
+    records = np.concatenate([p[0] for p in parts])
+    records[:, b + depth] = h
     return ProfileBatch(
         b=b,
         h=float(h),
         depth=depth,
-        records=records[keep],
-        n_censored=int(censored.sum()),
+        records=records,
+        n_censored=sum(p[1] for p in parts),
         n_requested=n_paths,
     )
 

@@ -1,17 +1,19 @@
 """Exact event-driven simulation of the chain and Monte Carlo estimation.
 
 Paths are simulated by the jump-chain construction: exponential holding at
-the current state's exit rate, then a categorical jump.  The Monte Carlo
-driver runs fixed-size chunks of paths in lockstep with per-chunk
-counter-based random streams, so estimates are bit-identical for a fixed
-seed no matter how the chunks are scheduled across workers.
+the current state's exit rate, then a categorical jump.  The lockstep
+engine ``run_lockstep`` runs fixed-size chunks of paths side by side with
+per-chunk counter-based random streams, until a horizon or until a level
+of local time at one site, so results are bit-identical for a fixed seed
+no matter how the chunks are scheduled across workers.  The Monte Carlo
+estimator here and the Ray-Knight profile walk both run on it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from dataclasses import dataclass
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -65,33 +67,7 @@ def sample_path(gen: Generator, start: Hashable, T: float, rng: np.random.Genera
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
-    exit_rates = gen.exit_rates()
-    off = gen.off_diagonal()
-    i = gen.index(start)
-    t = 0.0
-    jump_times = []
-    states = [start]
-    local = {}
-    while True:
-        rate = exit_rates[i]
-        hold = rng.exponential(1.0 / rate) if rate > 0 else np.inf
-        state = gen.states[i]
-        if t + hold >= T:
-            local[state] = local.get(state, 0.0) + (T - t)
-            break
-        local[state] = local.get(state, 0.0) + hold
-        t += hold
-        jump_times.append(t)
-        p = off[i] / rate
-        i = rng.choice(len(p), p=p)
-        states.append(gen.states[i])
-    return PathRecord(
-        jump_times=np.array(jump_times),
-        states=states,
-        terminal_state=gen.states[i],
-        local_times=local,
-        horizon=T,
-    )
+    return _sample(gen, start, rng, T)
 
 
 def sample_until_inverse_local_time(
@@ -109,32 +85,43 @@ def sample_until_inverse_local_time(
     """
     if h <= 0:
         raise ValueError("level must be positive")
+    return _sample(gen, start, rng, h, site=b, max_events=max_events)
+
+
+def _sample(gen, start, rng, limit, site=None, max_events=np.inf) -> PathRecord:
+    """One path from ``start`` until its clock reaches ``limit``.
+
+    The clock is the elapsed time, or with ``site`` the local time there;
+    the last holding interval is cut where the clock reaches the limit.
+    Draws an exponential hold, then a categorical jump, per event.
+    """
     exit_rates = gen.exit_rates()
     off = gen.off_diagonal()
     i = gen.index(start)
-    ib = gen.index(b)
-    t = 0.0
-    at_b = 0.0
+    ib = None if site is None else gen.index(site)
+    t = clock = 0.0
     jump_times = []
     states = [start]
     local = {}
-    for _ in range(max_events):
+    events = 0
+    while events < max_events:
+        events += 1
         rate = exit_rates[i]
         hold = rng.exponential(1.0 / rate) if rate > 0 else np.inf
         state = gen.states[i]
-        if i == ib and at_b + hold >= h:
-            residual = h - at_b
+        ticks = ib is None or i == ib
+        if ticks and clock + hold >= limit:
+            residual = limit - clock
             local[state] = local.get(state, 0.0) + residual
-            t += residual
             return PathRecord(
                 jump_times=np.array(jump_times),
                 states=states,
                 terminal_state=state,
                 local_times=local,
-                horizon=t,
+                horizon=limit if ib is None else t + residual,
             )
-        if i == ib:
-            at_b += hold
+        if ticks:
+            clock += hold
         local[state] = local.get(state, 0.0) + hold
         t += hold
         if rate == 0:
@@ -143,42 +130,118 @@ def sample_until_inverse_local_time(
         p = off[i] / rate
         i = rng.choice(len(p), p=p)
         states.append(gen.states[i])
-    raise SimulationError(f"event cap {max_events} reached before local time {h} at {b!r}")
+    raise SimulationError(f"event cap {max_events} reached before local time {limit} at {site!r}")
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+def _jump_table(gen: Generator):
+    """Exit rates and padded per-state jump tables.
+
+    Row s of ``targets`` lists the states at which the cumulative jump
+    distribution of s steps up, and row s of ``cum`` its value there; rows
+    are padded to the largest out-degree, ``cum`` with +inf.  A jump from s
+    with uniform u in [0, 1) goes to ``targets[s, (u >= cum[s]).sum()]``,
+    the first state whose cumulative probability exceeds u: the same
+    comparisons as against the dense cumulative row, in O(out-degree).
+    """
+    exit_rates = gen.exit_rates()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        jump = gen.off_diagonal() / exit_rates[:, None]
+    jump[exit_rates == 0] = 0.0
+    cum = np.cumsum(jump, axis=1)
+    # guard the last column against rounding so the lookup never falls off
+    # the end
+    cum[exit_rates > 0, -1] = 1.0
+    steps = np.diff(cum, axis=1, prepend=0.0) > 0
+    # a stable sort moves each row's step columns to the front, in order
+    width = int(steps.sum(axis=1).max())
+    targets = np.argsort(~steps, axis=1, kind="stable")[:, :width]
+    table = np.where(np.take_along_axis(steps, targets, axis=1),
+                     np.take_along_axis(cum, targets, axis=1), np.inf)
+    return exit_rates, targets, table
 
 
-def _run_chunk(gen_arrays, start_idx, T, n, rng):
-    """Lockstep simulation of n paths; returns local times (n, n_states),
-    terminal state indices, and visit masks."""
-    exit_rates, cum_jump = gen_arrays
+def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_jumps=np.inf):
+    """Lockstep simulation of n paths from ``start_idx``.
+
+    A path stops when its clock reaches ``limit``: the elapsed time, or with
+    ``site_idx`` the local time there.  With a site, every other state must
+    have a positive exit rate.  Paths still running after ``max_jumps``
+    jumps are censored.  Returns local times, final state indices and
+    censored flags.  The local times have one column per state in
+    ``record``, in that order, and a last column for the time spent at all
+    other states.
+    """
+    exit_rates, targets, cum = jump_table
     n_states = len(exit_rates)
+    ticks = np.ones(n_states, dtype=bool) if site_idx is None else np.arange(n_states) == site_idx
+    column = np.full(n_states, len(record))
+    column[record] = np.arange(len(record))
     state = np.full(n, start_idx, dtype=np.int64)
-    remaining = np.full(n, T)
-    local = np.zeros((n, n_states))
-    visited = np.zeros((n, n_states), dtype=bool)
-    visited[:, start_idx] = True
+    remaining = np.full(n, float(limit))
+    local = np.zeros((n, len(record) + 1))
     active = np.arange(n)
-    while len(active):
+    jumps = 0
+    while len(active) and jumps < max_jumps:
         s = state[active]
         rate = exit_rates[s]
         hold = np.where(
             rate > 0, rng.exponential(1.0, size=len(active)) / np.maximum(rate, 1e-300), np.inf
         )
-        stop = hold >= remaining[active]
-        dt = np.where(stop, remaining[active], hold)
-        np.add.at(local, (active, s), dt)
-        remaining[active] -= dt
-        moving = active[~stop]
+        tick = ticks[s]
+        left = remaining[active]
+        stop = tick & (hold >= left)
+        dt = np.where(stop, left, hold)
+        # each path appears once in ``active``, so the rows are unique
+        local[active, column[s]] += dt
+        remaining[active] = left - np.where(tick, dt, 0.0)
+        go = ~stop
+        moving = active[go]
         if len(moving):
-            u = rng.random(len(active))[~stop]
-            nxt = (u[:, None] >= cum_jump[state[moving]]).sum(axis=1)
-            state[moving] = nxt
-            visited[moving, nxt] = True
+            u = rng.random(len(active))[go]
+            src = state[moving]
+            state[moving] = targets[src, (u[:, None] >= cum[src]).sum(axis=1)]
         active = moving
-    return local, state, visited
+        jumps += 1
+    censored = np.zeros(n, dtype=bool)
+    censored[active] = True
+    return local, state, censored
+
+
+def run_lockstep(
+    gen: Generator,
+    start: Hashable,
+    n_paths: int,
+    seed: int,
+    limit: float,
+    record: Sequence[Hashable],
+    reduce: Callable,
+    site: Hashable | None = None,
+    max_jumps: float = np.inf,
+    workers: int = 1,
+) -> list:
+    """Simulate ``n_paths`` paths from ``start`` in chunks of ``CHUNK_SIZE``
+    and return ``reduce(local, state, censored)`` per chunk, in chunk order,
+    with the arrays and stop rule of ``_run_chunk``.
+
+    Chunk c draws from the Philox stream keyed ``[seed, c]``, so the result
+    does not depend on ``workers``.
+    """
+    jump_table = _jump_table(gen)
+    start_idx = gen.index(start)
+    record_idx = gen.indices(record)
+    site_idx = None if site is None else gen.index(site)
+
+    def one_chunk(c):
+        n = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
+        rng = np.random.Generator(np.random.Philox(key=[seed, c]))
+        return reduce(*_run_chunk(jump_table, start_idx, n, rng, limit, record_idx, site_idx,
+                                  max_jumps))
+
+    n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(one_chunk, range(n_chunks)))
+    return [one_chunk(c) for c in range(n_chunks)]
 
 
 def mc_event_functional(
@@ -198,39 +261,18 @@ def mc_event_functional(
     the event contribute 0.  The chunked per-stream design makes the
     result independent of the worker count.
     """
-    exit_rates = gen.exit_rates()
-    off = gen.off_diagonal()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jump = off / exit_rates[:, None]
-    jump[exit_rates == 0] = 0.0
-    cum_jump = np.cumsum(jump, axis=1)
-    # guard the last column against rounding so searchsorted-style indexing
-    # never falls off the end
-    cum_jump[exit_rates > 0, -1] = 1.0
-    gen_arrays = (exit_rates, cum_jump)
-    start_idx = gen.index(spec.start)
     end_idx = gen.index(spec.end)
-    range_idx = gen.indices(spec.range)
-    range_mask = np.zeros(gen.n_states, dtype=bool)
-    range_mask[range_idx] = True
 
-    n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-    def one_chunk(c):
-        n = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
-        rng = _chunk_rng(seed, c)
-        local, state, visited = _run_chunk(gen_arrays, start_idx, T, n, rng)
-        ok = (state == end_idx) & np.all(visited == range_mask[None, :], axis=1)
+    def reduce(local, state, _censored):
+        # a state is visited exactly when its local time is positive; the
+        # last column is the time outside the range
+        ok = (state == end_idx) & np.all(local[:, :-1] > 0, axis=1) & (local[:, -1] == 0)
         if not np.any(ok):
             return 0.0, 0.0, 0
-        vals = np.asarray(F(local[np.ix_(ok.nonzero()[0], range_idx)]), dtype=float)
+        vals = np.asarray(F(local[ok, :-1]), dtype=float)
         return float(vals.sum()), float((vals ** 2).sum()), int(ok.sum())
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(one_chunk, range(n_chunks)))
-    else:
-        parts = [one_chunk(c) for c in range(n_chunks)]
+    parts = run_lockstep(gen, spec.start, n_paths, seed, T, spec.range, reduce, workers=workers)
     total = np.sum([p[0] for p in parts])
     total_sq = np.sum([p[1] for p in parts])
     n_acc = int(np.sum([p[2] for p in parts]))

@@ -139,3 +139,13 @@ def test_timestamp_line_presence(tmp_path, capsys):
     main(["density-eval", path, "--no-timestamp"])
     without = capsys.readouterr().out
     assert not without.startswith("#")
+
+
+def test_library_error_exit_code(tmp_path, capsys):
+    # at T=150 the two-state flow series stops at its degree cap with a
+    # ConvergenceError; that is a crash of the command (exit 2), not a
+    # failed --assert (exit 1)
+    path = write_cfg(tmp_path, TWO_STATE_CFG + ["T=150", "points=1"])
+    rc = main(["density-eval", path, "--seed", "1", "--no-timestamp", "--assert"])
+    assert rc == 2
+    assert "error: flow series not converged" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 from loctimes.chain import RangeSpec, validate_generator
 from loctimes.density import (
     CapacityError,
+    ConvergenceError,
     SeriesEvaluator,
     density_finite_difference,
     density_quadrature,
@@ -198,6 +199,19 @@ def test_batch_values_match_scalar():
     for row, v in zip(L, vals):
         single = density_series(gen, spec, dict(zip(range(3), row)))
         assert abs(single.value - v) < 1e-10
+
+
+def test_batch_values_raise_when_truncated():
+    # at these points the two-state series needs more than the 80-degree
+    # cap: the closed form e^{-2l} I_0(2l) is 0.0516115 at l=30 and 0.0326
+    # at l=75, against truncated sums of 0.0514074 and 1.5e-11
+    ev = SeriesEvaluator(TWO_STATE, SPEC_AB)
+    for l in (30.0, 75.0):
+        with pytest.raises(ConvergenceError):
+            ev.values(np.array([[1.0, 1.0], [l, l]]))
+        with pytest.raises(ConvergenceError):
+            density_series(TWO_STATE, SPEC_AB, {0: l, 1: l})
+    assert abs(ev.values(np.array([[1.0, 1.0]]))[0][0] - RHO_12) < 1e-10
 
 
 def test_dispatcher_returns_result():

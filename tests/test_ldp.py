@@ -233,3 +233,15 @@ def test_rescaled_experiment_rows():
     assert rows[1]["scaled_error_terms"] < rows[0]["scaled_error_terms"]
     for r in rows:
         assert r["scaled_rhs"] == pytest.approx(-r["scaled_inner_inf"] + r["scaled_error_terms"])
+
+
+def test_rescaled_experiment_box_sizes():
+    # 1e6 ** (1/3) evaluates to 99.99999999999997; the box keeps its outer
+    # layer: 2 * 100 + 1 sites
+    rows = rescaled_bound_experiment(1, 1.0, [1e6], alpha_exponent=1 / 3, n_restarts=1)
+    assert rows[0]["n_sites"] == 201
+    rows = rescaled_bound_experiment(1, 1.0, [1e2, 1e4, 1e6, 1e8], n_restarts=1)
+    assert [r["n_sites"] for r in rows] == [7, 21, 63, 201]
+    # radius * alpha = 0.5: the box would be the single site 0
+    with pytest.raises(ValueError):
+        rescaled_bound_experiment(1, 0.5, [1.0])

@@ -39,6 +39,10 @@ def test_expm_matches_scipy():
     rng = np.random.default_rng(5)
     M = rng.normal(size=(6, 6))
     assert np.allclose(matrix_exponential(M), scipy_expm(M), rtol=1e-12, atol=1e-12)
+    Z = M + 1j * rng.normal(size=(6, 6))
+    E = matrix_exponential(Z, 0.7)
+    assert E.dtype == complex
+    assert np.allclose(E, scipy_expm(0.7 * Z), rtol=1e-12, atol=1e-12)
 
 
 def test_expm_stochastic_rows():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -132,6 +134,13 @@ def test_simulate_profiles_exact_level():
     assert batch.records.shape == (2000, 2 + 2 * 6 + 1)
     with pytest.raises(ValueError):
         batch.at(99)
+
+
+def test_walk_and_battery_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_profiles(b=2, h=1.0, n_paths=300, seed=3, depth=4)
+        rk_statistical_test(b=2, h=1.0, n_paths=300, seed=4, depth=4)
 
 
 def test_profile_means():

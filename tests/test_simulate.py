@@ -70,6 +70,16 @@ def test_no_jump_probability():
     assert abs(est.mean - np.exp(-T)) < 4 * est.std_error
 
 
+def test_absorbing_chain_event_probability():
+    # range {0, 1} ending at 1 is the event of a jump before T, where 1 absorbs
+    gen = validate_generator([[-5, 5], [0, 0]])
+    T = 0.3
+    est = mc_event_functional(
+        gen, RangeSpec((0, 1), 0, 1), T, lambda L: np.ones(len(L)), 100_000, seed=13
+    )
+    assert abs(est.mean - (1.0 - np.exp(-5.0 * T))) < 4 * est.std_error
+
+
 def test_event_probability_matches_killed_semigroup():
     gen = validate_generator([[-1, 1, 0], [0.5, -1, 0.5], [0, 1, -1]])
     T = 1.0
