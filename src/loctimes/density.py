@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial
+from math import lgamma
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 FLOW_LIMIT = 2_000_000
+QUADRATURE_NODE_LIMIT = 2 ** 24
 LOCAL_TIME_RTOL = 1e-12
 
 
@@ -118,7 +119,15 @@ class BalancedFlow:
 
 class _FlowTable:
     """Enumerated balanced flows on ``size`` sites up to a total degree,
-    stored column-flattened for vectorized coefficient evaluation."""
+    stored column-flattened for vectorized coefficient evaluation.
+
+    A flow enters the series only through its coefficient and its
+    monomial prod_x l_x^{deg_x/2}, where deg_x is the in + out degree at
+    site x.  Flows with equal site degrees share a monomial, so the table
+    also keeps the distinct site-degree rows (``powers``, halved; they are
+    all even) and each flow's row in them (``monomial``).  Flows and
+    monomials are both in degree order, so those of degree <= K are a
+    prefix of each."""
 
     def __init__(self, size: int, max_degree: int, limit: int):
         mats = _enumerate_matrices(size, max_degree, limit)
@@ -131,16 +140,36 @@ class _FlowTable:
         self.counts = counts
         self.degree = counts.sum(axis=1)
         sq = counts.reshape(-1, size, size)
-        self.site_degree = sq.sum(axis=1) + sq.sum(axis=2)  # in + out at each site
+        site_degree = sq.sum(axis=1) + sq.sum(axis=2)  # in + out at each site
         self.inv_factorial = np.exp(
             -np.sum(_LOG_FACT[counts], axis=1)
         )
+        rows, index = np.unique(site_degree, axis=0, return_inverse=True)
+        by_degree = np.argsort(rows.sum(axis=1), kind="stable")
+        rank = np.empty_like(by_degree)
+        rank[by_degree] = np.arange(len(by_degree))
+        self.powers = (rows[by_degree] // 2).astype(float)
+        self.monomial = rank[index.ravel()]
+        self.monomial_degree = rows[by_degree].sum(axis=1) // 2
 
-    def coefficients(self, B_flat: np.ndarray) -> np.ndarray:
-        """Per-flow products of matrix-entry powers over factorials."""
+    def sizes(self, K: int) -> tuple[int, int]:
+        """Numbers of flows and of monomials of degree <= K."""
+        return (int(np.searchsorted(self.degree, K, side="right")),
+                int(np.searchsorted(self.monomial_degree, K, side="right")))
+
+    def monomial_coefficients(self, B: np.ndarray, K: int) -> np.ndarray:
+        """Per-monomial sums of the flow coefficients prod B_xy^n_xy / n_xy!
+        over the flows of degree <= K; real and imaginary parts are summed
+        separately for a complex ``B``."""
+        n_flows, n_monomials = self.sizes(K)
         with np.errstate(invalid="ignore"):
-            powers = B_flat[None, :] ** self.counts
-        return np.prod(powers, axis=1) * self.inv_factorial
+            powers = np.ravel(B)[None, :] ** self.counts[:n_flows]
+        coeff = np.prod(powers, axis=1) * self.inv_factorial[:n_flows]
+        index = self.monomial[:n_flows]
+        out = np.bincount(index, weights=coeff.real, minlength=n_monomials)
+        if np.iscomplexobj(coeff):
+            out = out + 1j * np.bincount(index, weights=coeff.imag, minlength=n_monomials)
+        return out
 
 
 _LOG_FACT = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 200)))))
@@ -265,7 +294,7 @@ def theta_integral_series(
 
     Diagonal entries contribute a plain exponential factor and are split off
     first.  Works for real or complex matrices.  Returns ``(value,
-    truncation_estimate)``.
+    tail_bound)``, the bound being ``_factorial_tail`` of the strength.
     """
     B = np.asarray(B_tilde)
     l = np.asarray(l, dtype=float)
@@ -281,33 +310,40 @@ def theta_integral_series(
     strength = float(np.sum(np.abs(off) * np.outer(sql, sql)))
     K = _series_degree(strength, tol, max_degree)
     tab = _flow_table(n, K, limit)
-    keep = tab.degree <= K
-    deg = tab.degree[keep]
-    coeff = tab.coefficients(off.ravel())[keep]
-    mono = np.exp(tab.site_degree[keep] @ (0.5 * np.log(l)))
-    terms = coeff * mono
-    shells = np.bincount(deg, weights=np.real(terms), minlength=K + 1)
-    if np.iscomplexobj(terms):
-        shells = shells + 1j * np.bincount(deg, weights=np.imag(terms), minlength=K + 1)
-    value = shells.sum()
-    err = _tail_estimate(np.abs(shells), strength, K)
-    if err > tol * max(abs(value), 1.0) and K >= max_degree:
-        raise ConvergenceError(
-            f"flow series not converged at degree {K} (tail ~ {err:.2e})"
-        )
+    coeff = tab.monomial_coefficients(off, K)
+    value = coeff @ np.exp(tab.powers[: len(coeff)] @ np.log(l))
+    err = float(_factorial_tail(strength, K))
+    if not err <= tol * max(abs(value), 1.0) and K >= max_degree:
+        raise ConvergenceError(f"flow series not converged at degree {K}")
     return diag_factor * value, abs(diag_factor) * err
 
 
-def _tail_estimate(abs_shells: np.ndarray, strength: float, K: int) -> float:
-    """Geometric extrapolation of the remaining shells past degree K."""
-    last = abs_shells[-1]
-    prev = abs_shells[-2] if len(abs_shells) > 1 else 0.0
-    ratio = min(last / prev if prev > 0 else strength / (K + 1), 0.9)
-    if last == 0.0:
-        # factorial tail bound from the full-strength series
-        t = strength ** (K + 1) / factorial(min(K + 1, 170))
-        return float(t)
-    return float(last * ratio / (1.0 - ratio) + last)
+def _factorial_tail(s: np.ndarray, K: int, q: int = 0) -> np.ndarray:
+    """sum_{k>K} k^q s^k / k!, elementwise in the strengths ``s``.
+
+    The flows of degree k sum to at most s^k / k! in absolute value (the
+    multinomial expansion of s^k over all edges), and a derivative weight
+    prod_{x in Q} deg_x is at most k^|Q| at degree k, since every site's
+    in + out degree is at most k.  The term ratio r_k = s/(k+1) ((k+1)/k)^q
+    decreases in k, so once it is below 1 the terms still to come sum to at
+    most term * r / (1 - r); the sum stops when that is below rounding.
+    """
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        return np.full(s.shape, np.inf)
+    k = K + 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        term = np.exp(k * np.log(s) - lgamma(k + 1) + q * np.log(k))
+        total = term.copy()
+        while True:
+            r = s / (k + 1) * ((k + 1) / k) ** q
+            rest = term * r / (1.0 - r)
+            done = ~np.isfinite(total) | ((r < 1.0) & (rest <= 2.0 ** -52 * total))
+            if np.all(done):
+                return total + np.where(np.isfinite(total), rest, 0.0)
+            term = term * r
+            total += term
+            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +396,9 @@ class SeriesEvaluator:
     ``integrand_matrix`` optionally replaces the jump-rate matrix inside the
     angular integral (the derivative operator always keeps the original
     rates); this is how the radius-conjugation identity is exercised.
+
+    The series is summed over monomials: the flow coefficients are
+    aggregated once per truncation degree and cached.
     """
 
     def __init__(
@@ -381,93 +420,90 @@ class SeriesEvaluator:
         self.flow_limit = flow_limit
         a_pos = spec.range.index(spec.start)
         b_pos = spec.range.index(spec.end)
-        self.terms = _derivative_expansion(self.B, a_pos, b_pos)
-        self.Bint = self.B if integrand_matrix is None else np.asarray(integrand_matrix)
+        self.terms = [
+            (list(Q), det) for Q, det in _derivative_expansion(self.B, a_pos, b_pos) if det != 0.0
+        ]
+        Bint = self.B if integrand_matrix is None else integrand_matrix
+        self.Bint = np.asarray(Bint, dtype=float)
         if self.Bint.shape != (self.size, self.size):
             raise ValueError("integrand matrix shape mismatch")
+        self._weights: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
-    def _prepare(self, strength: float, extra_tol: float = 1.0):
-        K = _series_degree(strength, self.tol * extra_tol, self.max_degree)
-        tab = _flow_table(self.size, K, self.flow_limit)
-        keep = tab.degree <= K
-        deg = tab.degree[keep]
-        site_degree = tab.site_degree[keep]
-        coeff = tab.coefficients(self.Bint.ravel().astype(float))[keep]
-        return K, deg, site_degree, coeff
+    def _monomial_weights(self, K: int):
+        """Halved site degrees of the monomials of degree <= K, and per
+        monomial and term of the derivative expansion, the aggregated
+        coefficient times the derivative weight prod_{x in Q} deg_x."""
+        if K not in self._weights:
+            tab = _flow_table(self.size, K, self.flow_limit)
+            coeff = tab.monomial_coefficients(self.Bint, K)
+            powers = tab.powers[: len(coeff)]
+            W = np.empty((len(coeff), len(self.terms)))
+            for j, (Q, _) in enumerate(self.terms):
+                W[:, j] = coeff * np.prod(2.0 * powers[:, Q], axis=1)
+            self._weights[K] = (powers, W, tab.sizes(K)[0])
+        return self._weights[K]
+
+    def _strengths(self, L: np.ndarray) -> np.ndarray:
+        sql = np.sqrt(L)
+        return np.einsum("xy,ix,iy->i", np.abs(self.Bint), sql, sql)
+
+    def _evaluate(self, L: np.ndarray, strengths: np.ndarray, K: int, chunk: int | None):
+        """Values at the rows of ``L`` truncated at degree K, with each
+        row's factorial tail bound; raises when the degree is at its cap
+        and some row's bound exceeds tol times its value."""
+        powers, W, _ = self._monomial_weights(K)
+        if chunk is None:
+            # keep the (chunk, monomials) working array near 128 MB
+            chunk = max(32, int(16_000_000 // max(len(powers), 1)))
+        prefactor = np.exp(L @ self.diag)
+        # per row and term: det times the factors 1/(2 l_x) of the derivatives
+        scale = np.empty((len(L), len(self.terms)))
+        bound = np.zeros(len(L))
+        tails: dict[int, np.ndarray] = {}
+        for j, (Q, det) in enumerate(self.terms):
+            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
+            if len(Q) not in tails:
+                tails[len(Q)] = _factorial_tail(strengths, K, len(Q))
+            bound += np.abs(scale[:, j]) * tails[len(Q)]
+        out = np.empty(len(L))
+        # one (chunk, monomials) buffer, reused by every block
+        buf = np.empty((min(chunk, len(L)), len(powers)))
+        for lo in range(0, len(L), chunk):
+            block = L[lo : lo + chunk]
+            P = np.matmul(np.log(block), powers.T, out=buf[: len(block)])
+            np.exp(P, out=P)
+            out[lo : lo + chunk] = np.einsum("ij,ij->i", P @ W, scale[lo : lo + chunk])
+        out *= prefactor
+        err = prefactor * bound
+        # written so that a nan error (overflowed tail) also raises
+        if K >= self.max_degree and not np.all(err <= self.tol * np.abs(out)):
+            raise ConvergenceError(f"flow series not converged at degree {K}")
+        return out, err
+
+    def _point(self, l):
+        L = np.asarray(l, dtype=float)[None, :]
+        strengths = self._strengths(L)
+        K = _series_degree(float(strengths[0]), self.tol, self.max_degree)
+        out, err = self._evaluate(L, strengths, K, None)
+        return float(out[0]), float(err[0]), K
 
     def value(self, l: np.ndarray):
-        l = np.asarray(l, dtype=float)
-        sql = np.sqrt(l)
-        strength = float(np.sum(np.abs(self.Bint) * np.outer(sql, sql)))
-        K, deg, site_degree, coeff = self._prepare(strength)
-        mono = coeff * np.exp(site_degree @ (0.5 * np.log(l)))
-        shells = np.zeros(K + 1)
-        for Q, det in self.terms:
-            if det == 0.0:
-                continue
-            w = mono * np.prod(site_degree[:, Q], axis=1) if Q else mono
-            scale = det * float(np.prod(0.5 / l[list(Q)])) if Q else det
-            shells += scale * np.bincount(deg, weights=w, minlength=K + 1)
-        prefactor = float(np.exp(np.sum(self.diag * l)))
-        value = prefactor * shells.sum()
-        # derivative weights inflate the tail by at most (degree / min l) per site
-        worst = max(
-            (np.prod([K / l[x] for x in Q]) * abs(det) if Q else abs(det))
-            for Q, det in self.terms
-        )
-        err = prefactor * _tail_estimate(np.abs(shells), strength, K) + prefactor * worst * (
-            strength ** (K + 1) / factorial(min(K + 1, 170))
-        )
-        if err > max(self.tol * max(abs(value), 1e-300), 1e-13) and K >= self.max_degree:
-            raise ConvergenceError(f"density series stalled at degree {K}")
-        return value, err
+        """Value at one local-time vector and its factorial tail bound."""
+        return self._point(l)[:2]
 
     def values(self, L: np.ndarray, chunk: int | None = None):
         """Vectorized evaluation over rows of ``L`` (each a local-time vector).
 
-        Returns the values and each row's factorial tail bound.  Raises
-        ``ConvergenceError`` when the degree reaches ``max_degree`` and some
-        row's tail, times its diagonal prefactor, exceeds the tolerance
-        that ``value`` applies.
+        Returns the values and each row's factorial tail bound, truncated
+        at one degree chosen for the largest strength.  Raises
+        ``ConvergenceError`` when that degree reaches ``max_degree`` and
+        some row's bound exceeds ``tol`` times its value, the test
+        ``value`` applies.
         """
         L = np.asarray(L, dtype=float)
-        sql = np.sqrt(L)
-        strengths = np.einsum("xy,ix,iy->i", np.abs(self.Bint), sql, sql)
-        K, _, site_degree, coeff = self._prepare(float(strengths.max()), extra_tol=1e-2)
-        half_deg = 0.5 * site_degree
-        q_coeffs = []
-        for Q, det in self.terms:
-            w = coeff * np.prod(site_degree[:, Q], axis=1) if Q else coeff
-            q_coeffs.append((Q, det, w))
-        if chunk is None:
-            # keep the (chunk, flows) working array near 128 MB
-            chunk = max(32, int(16_000_000 // max(len(coeff), 1)))
-        prefactor = np.exp(L @ self.diag)
-        out = np.empty(len(L))
-        for lo in range(0, len(L), chunk):
-            block = L[lo : lo + chunk]
-            P = np.log(block) @ half_deg.T
-            np.exp(P, out=P)
-            acc = np.zeros(len(block))
-            for Q, det, w in q_coeffs:
-                if det == 0.0:
-                    continue
-                part = P @ w
-                if Q:
-                    part = part * np.prod(0.5 / block[:, list(Q)], axis=1) * det
-                else:
-                    part = part * det
-                acc += part
-            out[lo : lo + chunk] = acc * prefactor[lo : lo + chunk]
-        tail = strengths ** (K + 1) / factorial(min(K + 1, 170))
-        if K >= self.max_degree:
-            err = prefactor * tail
-            # written so that a nan error (overflowed tail) also raises
-            if not np.all(err <= np.maximum(self.tol * np.abs(out), 1e-13)):
-                raise ConvergenceError(
-                    f"density series truncated at degree {K} (tail ~ {np.nanmax(err):.2e})"
-                )
-        return out, tail
+        strengths = self._strengths(L)
+        K = _series_degree(float(strengths.max()), self.tol * 1e-2, self.max_degree)
+        return self._evaluate(L, strengths, K, chunk)
 
 
 def density_series(
@@ -480,12 +516,14 @@ def density_series(
     """Flow-series evaluation of the local-time density."""
     lv = as_times(spec, l)
     ev = SeriesEvaluator(gen, spec, tol=tol, integrand_matrix=integrand_matrix)
-    value, err = ev.value(lv)
+    value, err, K = ev._point(lv)
+    powers, _, flows = ev._monomial_weights(K)
     return DensityResult(
         value=value,
         method="series",
         error_estimate=err,
-        meta={"tol": tol, "range_size": spec.size},
+        meta={"tol": tol, "range_size": spec.size, "degree": K, "flows": flows,
+              "monomials": len(powers)},
     )
 
 
@@ -501,8 +539,11 @@ def density_quadrature(
     oscillatory exponential, integrated by a periodic trapezoidal rule with
     the starting site's angle pinned to zero.
 
-    Node counts double until two successive grids agree; the surviving
-    imaginary part is folded into the error estimate.
+    Node counts double until two successive grids agree, each doubling
+    evaluating only the nodes it adds; the surviving imaginary part is
+    folded into the error estimate.  A grid of more than
+    ``QUADRATURE_NODE_LIMIT`` nodes raises ``ConvergenceError`` before
+    anything is allocated.
     """
     if grid_points_per_angle < 4:
         raise ValueError("need at least 4 grid points per angle")
@@ -516,20 +557,23 @@ def density_quadrature(
     if n == 1:
         value = float(np.exp(A[0, 0] * lv[0]))
         return DensityResult(value, "quadrature", 0.0, {"nodes_per_angle": 0})
+    m = n - 1
     sql = np.sqrt(lv)
     ratio = np.sqrt(np.outer(lv, 1.0 / lv)).T  # ratio[x, z] = sqrt(l_z / l_x)
+    cols = [k for k in range(n) if k != a_pos]
 
-    def integrate(N: int) -> complex:
-        grids = np.meshgrid(
-            *[np.arange(N) * (2 * np.pi / N) for _ in range(n - 1)], indexing="ij"
-        )
-        theta = np.zeros((N ** (n - 1), n))
-        cols = [k for k in range(n) if k != a_pos]
-        for c, g in zip(cols, grids):
-            theta[:, c] = g.ravel()
+    def node_sum(N: int, new_only: bool) -> complex:
+        """Sum of the integrand over the N-point grid per angle, generated
+        in chunks from a flat index; with ``new_only``, over the nodes that
+        the N/2 grid (all-even indices) does not contain."""
         total = 0.0 + 0.0j
-        for lo in range(0, theta.shape[0], 65536):
-            th = theta[lo : lo + 65536]
+        for lo in range(0, N ** m, 65536):
+            ijk = np.stack(np.unravel_index(np.arange(lo, min(lo + 65536, N ** m)), (N,) * m),
+                           axis=1)
+            if new_only:
+                ijk = ijk[np.any(ijk % 2 == 1, axis=1)]
+            th = np.zeros((len(ijk), n))
+            th[:, cols] = ijk * (2 * np.pi / N)
             phase = np.exp(1j * (th[:, :, None] - th[:, None, :]))
             expo = np.exp(np.einsum("xy,ixy->i", A * np.outer(sql, sql), phase))
             pot = np.einsum("xz,ixz->ix", B * ratio, phase)
@@ -539,23 +583,28 @@ def density_quadrature(
             D[:, :, a_pos] = 0.0
             D[:, b_pos, a_pos] = 1.0
             total += np.sum(np.linalg.det(D) * expo)
-        return total / theta.shape[0]
+        return total
 
-    N = grid_points_per_angle
-    prev = integrate(N)
+    N, S, prev = grid_points_per_angle, 0.0 + 0.0j, None
     while True:
-        N *= 2
-        cur = integrate(N)
-        diff = abs(cur - prev)
-        if diff < tol * max(abs(cur), 1.0) or N >= max_points_per_angle:
-            break
+        if N ** m > QUADRATURE_NODE_LIMIT:
+            raise ConvergenceError(
+                f"quadrature not converged within {QUADRATURE_NODE_LIMIT} nodes "
+                f"({N} per angle over {m} angles)")
+        S += node_sum(N, new_only=prev is not None)
+        cur = S / N ** m
+        if prev is not None:
+            diff = abs(cur - prev)
+            if diff < tol * max(abs(cur), 1.0) or N >= max_points_per_angle:
+                break
         prev = cur
+        N *= 2
     err = diff + abs(cur.imag)
     return DensityResult(
         value=float(cur.real),
         method="quadrature",
         error_estimate=float(err),
-        meta={"nodes_per_angle": N},
+        meta={"nodes_per_angle": N, "nodes": N ** m},
     )
 
 

@@ -1,3 +1,7 @@
+import functools
+from math import factorial
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +18,9 @@ from loctimes.density import (
     local_time_density,
     theta_integral_series,
     _derivative_expansion,
+    _factorial_tail,
+    _flow_table,
+    _series_degree,
 )
 
 # frozen reference values (independently computed Bessel series)
@@ -203,14 +210,16 @@ def test_batch_values_match_scalar():
 
 def test_batch_values_raise_when_truncated():
     # at these points the two-state series needs more than the 80-degree
-    # cap: the closed form e^{-2l} I_0(2l) is 0.0516115 at l=30 and 0.0326
-    # at l=75, against truncated sums of 0.0514074 and 1.5e-11
+    # cap: the closed form e^{-(l0+l1)} I_0(2 sqrt(l0 l1)) is 0.0516115 at
+    # (30, 30), 0.0326 at (75, 75) and 1.65e-22 at (20.5148, 129.4852),
+    # against truncated sums of 0.0514074, 1.5e-11 and 2.34e-24; the last
+    # passed an absolute error floor of 1e-13
     ev = SeriesEvaluator(TWO_STATE, SPEC_AB)
-    for l in (30.0, 75.0):
-        with pytest.raises(ConvergenceError):
-            ev.values(np.array([[1.0, 1.0], [l, l]]))
-        with pytest.raises(ConvergenceError):
-            density_series(TWO_STATE, SPEC_AB, {0: l, 1: l})
+    for l in ([30.0, 30.0], [75.0, 75.0], [20.5148, 129.4852]):
+        with pytest.raises(ConvergenceError, match="flow series not converged at degree 80"):
+            ev.values(np.array([[1.0, 1.0], l]))
+        with pytest.raises(ConvergenceError, match="flow series not converged at degree 80"):
+            density_series(TWO_STATE, SPEC_AB, l)
     assert abs(ev.values(np.array([[1.0, 1.0]]))[0][0] - RHO_12) < 1e-10
 
 
@@ -218,3 +227,116 @@ def test_dispatcher_returns_result():
     res = local_time_density(TWO_STATE, SPEC_AB, L_UNIT)
     assert res.method in ("series", "quadrature")
     assert abs(res.value - RHO_12) < 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def flow_counts(n, K):
+    return np.array([f.counts for f in enumerate_balanced_flows(n, K)])
+
+
+def flow_sums(B, l, K, Qs):
+    """Explicit per-flow sums over the balanced flows of degree <= K of
+    prod B^n / n! * prod l^(deg/2) * prod_{x in Q} deg_x, one per Q."""
+    counts = flow_counts(len(l), K)
+    inv_fact = np.vectorize(lambda k: 1.0 / factorial(k))(counts)
+    coeff = np.prod((B[None] ** counts) * inv_fact, axis=(1, 2))
+    deg = counts.sum(axis=1) + counts.sum(axis=2)
+    terms = coeff * np.prod(l[None, :] ** (deg / 2), axis=1)
+    return [np.sum(terms * np.prod(deg[:, list(Q)], axis=1)) for Q in Qs]
+
+
+def explicit_density(gen, spec, l, K):
+    """The series density truncated at degree K, summed flow by flow."""
+    A = gen.rates
+    B = A - np.diag(np.diag(A))
+    terms = _derivative_expansion(B, spec.range.index(spec.start), spec.range.index(spec.end))
+    sums = flow_sums(B, l, K, [Q for Q, _ in terms])
+    total = sum(det * np.prod(0.5 / l[list(Q)]) * s for (Q, det), s in zip(terms, sums))
+    return np.exp(np.diag(A) @ l) * total
+
+
+def test_theta_monomial_sum_matches_flow_sum():
+    rng = np.random.default_rng(29)
+    for n in (3, 4):
+        l = rng.uniform(0.05, 0.2, size=n)
+        B = rng.uniform(0.1, 0.8, size=(n, n))
+        np.fill_diagonal(B, 0.0)
+        for M in (B, B * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, n)))):
+            value, _ = theta_integral_series(M, l, tol=1e-9)
+            sql = np.sqrt(l)
+            K = _series_degree(float(np.sum(np.abs(M) * np.outer(sql, sql))), 1e-9, 80)
+            (expected,) = flow_sums(M, l, K, [()])
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("n, start, end", [(3, 0, 1), (4, 1, 1)])
+def test_series_monomial_sum_matches_flow_sum(n, start, end):
+    rng = np.random.default_rng(31 + n)
+    gen = random_generator(n, rng)
+    spec = RangeSpec(tuple(range(n)), start, end)
+    # a short horizon keeps the degree, and the explicit flow list, small
+    L = 0.2 * rng.dirichlet(np.ones(n), size=3)
+    for l in L:
+        res = density_series(gen, spec, dict(zip(range(n), l)))
+        expected = explicit_density(gen, spec, l, res.meta["degree"])
+        assert abs(res.value - expected) <= 1e-12 * abs(expected)
+    ev = SeriesEvaluator(gen, spec)
+    vals, _ = ev.values(L)
+    B = gen.off_diagonal()
+    K = _series_degree(max(np.sum(B * np.sqrt(np.outer(l, l))) for l in L), 1e-12, 80)
+    for l, v in zip(L, vals):
+        expected = explicit_density(gen, spec, l, K)
+        assert abs(v - expected) <= 1e-12 * abs(expected)
+
+
+def test_monomial_counts_and_meta():
+    tab = _flow_table(4, 16)
+    assert tab.sizes(14) == (17782, 1380)
+    assert tab.sizes(16) == (41293, 2205)
+    gen = random_generator(4, np.random.default_rng(37))
+    res = density_series(gen, RangeSpec((0, 1, 2, 3), 0, 2), [0.3, 0.2, 0.4, 0.1])
+    K = res.meta["degree"]
+    assert (res.meta["flows"], res.meta["monomials"]) == tab.sizes(K)
+    assert res.meta["monomials"] < res.meta["flows"]
+
+
+@pytest.mark.parametrize("spec, l, max_degree", [
+    (SPEC_AB, (1.0, 1.5), 6),
+    (SPEC_AA, (2.0, 0.5), 6),
+    (SPEC_AB, (20.5148, 129.4852), 80),
+])
+def test_tail_bound_covers_truncation_error(spec, l, max_degree):
+    # two-state closed forms at 50 digits: e^{-(l0+l1)} I_0(2 sqrt(l0 l1))
+    # from 0 to 1, and e^{-(l0+l1)} sqrt(l0/l1) I_1(2 sqrt(l0 l1)) from 0 to 0
+    mpmath.mp.dps = 50
+    l0, l1 = (mpmath.mpf(x) for x in l)
+    z = 2 * mpmath.sqrt(l0 * l1)
+    if spec.end == 1:
+        exact = mpmath.exp(-(l0 + l1)) * mpmath.besseli(0, z)
+    else:
+        exact = mpmath.exp(-(l0 + l1)) * mpmath.sqrt(l0 / l1) * mpmath.besseli(1, z)
+    # a loose tolerance keeps the truncated sums from raising
+    ev = SeriesEvaluator(TWO_STATE, spec, tol=1e9, max_degree=max_degree)
+    value, err = ev.value(np.array(l))
+    vals, errs = ev.values(np.array([l]))
+    for v, e in ((value, err), (vals[0], errs[0])):
+        truncation = abs(mpmath.mpf(v) - exact)
+        assert truncation > 1e-6 * exact  # the truncation is visible
+        assert truncation <= e
+
+
+
+@pytest.mark.parametrize("s, K, q", [(0.54, 14, 0), (103.0, 80, 0), (3.0, 10, 2)])
+def test_factorial_tail_sum_matches_mpmath(s, K, q):
+    mpmath.mp.dps = 40
+    exact = mpmath.nsum(lambda k: k ** q * mpmath.mpf(s) ** k / mpmath.factorial(k),
+                        [K + 1, mpmath.inf])
+    got = _factorial_tail(np.array([s]), K, q)[0]
+    assert abs(got / float(exact) - 1) <= 1e-13
+
+
+def test_quadrature_node_limit_raises_before_allocating():
+    gen = random_generator(4, np.random.default_rng(41))
+    spec = RangeSpec((0, 1, 2, 3), 0, 1)
+    with pytest.raises(ConvergenceError, match="quadrature not converged"):
+        density_quadrature(gen, spec, [0.25] * 4, grid_points_per_angle=512)
