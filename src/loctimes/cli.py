@@ -1,12 +1,14 @@
 """Experiment command line: reproducible runs of every library operation.
 
 Configs are plain ``key=value`` text files passed as the positional
-argument; any ``--set key=value`` flag overrides a config entry.  Results
-are comma-separated tables with a header row, written to stdout or
-``--out``.  All randomness is controlled by explicit seeds, and rerunning
-a command with the same config, seed and worker count reproduces the
-output byte for byte (modulo the timestamp line, which ``--no-timestamp``
-suppresses).
+argument; any ``--set key=value`` flag overrides a config entry.  Each
+command declares the keys it reads (``COMMANDS``); a key that no command
+reads, or a ``--set`` key that this command does not read, is an error.
+Results are comma-separated tables with a header row, written to stdout
+or ``--out``.  All randomness is controlled by explicit seeds, and
+rerunning a command with the same config, seed and worker count
+reproduces the output byte for byte (modulo the timestamp line, which
+``--no-timestamp`` suppresses).
 """
 
 from __future__ import annotations
@@ -330,16 +332,34 @@ def cmd_rayknight_test(cfg, args):
     return table, report.passed
 
 
+GENERATOR_KEYS = ("generator", "states")
+RANGE_KEYS = GENERATOR_KEYS + ("range", "start", "end")
+
+# each command with the config keys it reads
 COMMANDS = {
-    "density-eval": cmd_density_eval,
-    "mc-validate": cmd_mc_validate,
-    "marginal-check": cmd_marginal_check,
-    "bounds-check": cmd_bounds_check,
-    "rate-function": cmd_rate_function,
-    "chi": cmd_chi,
-    "rescaled": cmd_rescaled,
-    "rayknight-test": cmd_rayknight_test,
+    "density-eval": (cmd_density_eval, RANGE_KEYS + ("T", "points", "tol")),
+    "mc-validate": (cmd_mc_validate, RANGE_KEYS + ("T", "paths", "functional", "resolution")),
+    "marginal-check": (cmd_marginal_check, RANGE_KEYS + ("T", "resolution", "tol")),
+    "bounds-check": (cmd_bounds_check, RANGE_KEYS + ("T", "points", "upper_bound", "S")),
+    "rate-function": (cmd_rate_function, GENERATOR_KEYS + ("mu", "sites")),
+    "chi": (cmd_chi, ("dim", "radius", "nodes", "functional", "restarts")),
+    "rescaled": (cmd_rescaled,
+                 ("dim", "radius", "T_list", "functional", "alpha_exponent", "restarts")),
+    "rayknight-test": (cmd_rayknight_test, ("b", "h", "paths")),
 }
+
+
+def check_keys(command: str, cfg: dict, overrides: list[str]) -> None:
+    """Reject a key the command does not read.  A config file may be shared
+    between commands, so a file key that another command reads passes; a
+    ``--set`` key must be one this command reads."""
+    reads = COMMANDS[command][1]
+    known = {key for _, keys in COMMANDS.values() for key in keys}
+    overridden = {item.split("=", 1)[0].strip() for item in overrides}
+    for key in cfg:
+        if key not in reads and (key in overridden or key not in known):
+            raise ConfigError(f"unknown config key {key!r} for command {command!r}; "
+                              f"it reads: {', '.join(reads)}")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -373,7 +393,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.set)
-        table, ok = COMMANDS[args.command](cfg, args)
+        check_keys(args.command, cfg, args.set)
+        table, ok = COMMANDS[args.command][0](cfg, args)
     except (ConfigError, GeneratorError, ValueError, OSError,
             ConvergenceError, CapacityError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -209,28 +209,83 @@ class SimplexBall:
             and np.linalg.norm(mu - self.center) <= self.radius + tol
         )
 
-    def project(self, mu: np.ndarray, iterations: int = 200) -> np.ndarray:
-        """Approximate projection by alternating projections onto the
-        simplex and the ball; the fixed point lies in the intersection
-        whenever it is nonempty."""
-        x = np.asarray(mu, dtype=float)
-        for _ in range(iterations):
-            x = _project_simplex(x)
-            d = x - self.center
-            norm = np.linalg.norm(d)
-            if norm <= self.radius:
-                break
-            x = self.center + d * (self.radius / norm)
-        return _project_simplex(x)
+
+# ---------------------------------------------------------------------------
+# the variational problem over v = sqrt(mu) shared by the deviation bound and
+# the rescaled profiles: inf over mu of <sqrt(mu), L sqrt(mu)> - F(mu)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _root_objective(L, F: Callable[[np.ndarray], float] | None = None):
+    """Objective over v with mu = v^2 / s, s = v.v: the Rayleigh quotient
+    q = v.Lv / s minus F(mu), with its gradient (2/s) (Lv - q v) -
+    (2/s) (v g - (mu.g) v), g = grad F(mu) (forward differences when F
+    has no ``gradient``).  L is symmetric; the value ignores the scale of v."""
+
+    def objective(v):
+        s = float(v @ v)
+        Lv = L @ v
+        q = float(v @ Lv) / s
+        val, grad = q, Lv - q * v
+        if F is not None:
+            mu = v * v / s
+            g = F.gradient(mu) if hasattr(F, "gradient") else _numerical_grad(F, mu)
+            val -= F(mu)
+            grad -= v * g - float(mu @ g) * v
+        return val, (2.0 / s) * grad
+
+    return objective
+
+
+def _numerical_grad(F, mu, h=1e-7):
+    g = np.zeros_like(mu)
+    base = F(mu)
+    for i in range(len(mu)):
+        e = np.zeros_like(mu)
+        e[i] = h
+        g[i] = (F(mu + e) - base) / h
+    return g
+
+
+def _minimize_roots(objective, starts, constraint: SimplexBall | None = None, gtol: float = 1e-10):
+    """Minimize the objective from each start v0; returns the best value,
+    its measure v^2 / v.v, the spread of the optima and whether the
+    restarts agree.
+
+    Without a constraint this is L-BFGS-B over v.  With a SimplexBall it is
+    SLSQP on the unit sphere v.v = 1 with v >= 0, where mu = v^2 and the
+    ball reads r^2 - |v^2 - c|^2 >= 0; only ends inside the ball count.
+    """
+    if constraint is None:
+        def solve(v0):
+            return minimize(objective, v0, jac=True, method="L-BFGS-B",
+                            options={"maxiter": 20_000, "ftol": 1e-16, "gtol": gtol})
+    else:
+        c, r2 = constraint.center, constraint.radius ** 2
+        conditions = [
+            {"type": "eq", "fun": lambda v: v @ v - 1.0, "jac": lambda v: 2.0 * v},
+            {"type": "ineq", "fun": lambda v: r2 - np.sum((v * v - c) ** 2),
+             "jac": lambda v: -4.0 * v * (v * v - c)},
+        ]
+
+        def solve(v0):
+            return minimize(objective, v0 / np.linalg.norm(v0), jac=True, method="SLSQP",
+                            bounds=[(0.0, None)] * len(v0), constraints=conditions,
+                            options={"maxiter": 1000, "ftol": 1e-12})
+
+    best_val, best_mu, optima = np.inf, None, []
+    for v0 in starts:
+        res = solve(v0)
+        mu = res.x * res.x / float(res.x @ res.x)
+        if constraint is not None and not constraint.contains(mu):
+            continue
+        optima.append(float(res.fun))
+        if res.fun < best_val:
+            best_val, best_mu = float(res.fun), mu
+    if not optima:
+        raise ValueError("no restart ended inside the constraint set; "
+                         "does the ball meet the simplex?")
+    spread = max(optima) - min(optima)
+    return best_val, best_mu, spread, spread <= 1e-6 * max(1.0, abs(best_val))
 
 
 @dataclass
@@ -242,6 +297,8 @@ class DeviationBoundRhs:
     eta: float
     n_restarts: int
     minimizer: np.ndarray
+    restarts_agree: bool
+    spread: float  # spread of optima across the restarts that ended in the set
 
 
 def ldp_upper_bound_rhs(
@@ -260,6 +317,9 @@ def ldp_upper_bound_rhs(
     ball (None means the whole simplex, infimum 0 at the invariant
     measure); ``functional`` switches to the expectation form, where the
     inner value is inf [I - F] (so the bound is T sup[F - I] + errors).
+    The rate function is the Dirichlet form of sqrt(mu), so the infimum is
+    taken over v = sqrt(mu), from the uniform measure and Dirichlet draws.
+    A ball that no restart ends inside raises ValueError.
     """
     S = tuple(S)
     if T < 1:
@@ -271,71 +331,21 @@ def ldp_upper_bound_rhs(
     n = len(S)
     errors = n * np.log(eta * np.sqrt(8 * np.e) * T) + np.log(n) + n / (4.0 * T)
 
-    L = -A
-
-    def inner_obj(mu):
-        root = np.sqrt(np.maximum(mu, 0.0))
-        val = float(root @ L @ root)
-        if functional is not None:
-            val -= functional(mu)
-        return val
-
     rng = np.random.default_rng(seed)
-    best_val, best_mu = np.inf, None
-    for k in range(n_restarts):
-        mu = np.full(n, 1.0 / n) if k == 0 else rng.dirichlet(np.ones(n))
-        if constraint is not None:
-            mu = constraint.project(mu)
-        mu, val = _projected_descent(inner_obj, mu, constraint)
-        if val < best_val:
-            best_val, best_mu = val, mu
+    starts = (np.sqrt(np.full(n, 1.0 / n) if k == 0 else rng.dirichlet(np.ones(n)))
+              for k in range(n_restarts))
+    value, mu, spread, agree = _minimize_roots(_root_objective(-A, functional), starts, constraint)
     return DeviationBoundRhs(
-        total=float(-T * best_val + errors),
-        inner_value=float(best_val),
+        total=float(-T * value + errors),
+        inner_value=value,
         error_terms=float(errors),
         n_sites=n,
         eta=eta,
         n_restarts=n_restarts,
-        minimizer=best_mu,
+        minimizer=mu,
+        restarts_agree=agree,
+        spread=spread,
     )
-
-
-def _projected_descent(obj, mu0, constraint, max_iter=2000, tol=1e-12):
-    """Projected descent with numerical gradients and backtracking; the
-    projection is onto the simplex (and ball, when given)."""
-
-    def project(x):
-        return constraint.project(x) if constraint is not None else _project_simplex(x)
-
-    def grad(mu):
-        g = np.zeros_like(mu)
-        h = 1e-7
-        base = obj(mu)
-        for i in range(len(mu)):
-            e = np.zeros_like(mu)
-            e[i] = h
-            g[i] = (obj(mu + e) - base) / h
-        return g
-
-    mu = project(np.asarray(mu0, dtype=float))
-    val = obj(mu)
-    step = 0.5
-    for _ in range(max_iter):
-        g = grad(mu)
-        improved = False
-        s = step
-        for _ in range(30):
-            cand = project(mu - s * g)
-            cval = obj(cand)
-            if cval < val - 1e-15:
-                mu, val = cand, cval
-                step = min(s * 2.0, 10.0)
-                improved = True
-                break
-            s *= 0.5
-        if not improved or s < tol:
-            break
-    return mu, val
 
 
 # ---------------------------------------------------------------------------
@@ -435,58 +445,21 @@ def chi_discrete(
     F = make_box_functional(functional, dim, radius, n_per_axis) if isinstance(functional, str) else functional
     n = n_per_axis ** dim
 
-    def objective(w):
-        w = w - w.max()
-        e = np.exp(w)
-        Z = e.sum()
-        mu = e / Z
-        v = np.sqrt(mu)
-        Lv = L @ v
-        energy = 0.5 * alpha_sq * float(v @ Lv)
-        fval = F(mu)
-        val = energy - fval
-        # gradient wrt mu of the energy term: (L v)_x / (2 v_x) * alpha^2 / 2...
-        # d/dmu_x [ (1/2) v L v ] = (Lv)_x / (2 v_x); chain through softmax
-        grad_mu = alpha_sq * Lv / np.maximum(2.0 * v, 1e-150)
-        if hasattr(F, "gradient"):
-            grad_mu = grad_mu - F.gradient(mu)
-        else:
-            grad_mu = grad_mu - _numerical_grad(F, mu)
-        grad_w = mu * (grad_mu - float(mu @ grad_mu))
-        return val, grad_w
-
     rng = np.random.default_rng(seed)
-    best = None
-    optima = []
+    starts = []
     for k in range(n_restarts):
         w0 = np.zeros(n) if k == 0 else rng.normal(scale=1.0, size=n)
-        res = minimize(objective, w0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 20_000, "ftol": 1e-16, "gtol": tol})
-        optima.append(res.fun)
-        if best is None or res.fun < best.fun:
-            best = res
-    spread = float(max(optima) - min(optima))
-    w = best.x - best.x.max()
-    mu = np.exp(w)
-    mu /= mu.sum()
+        starts.append(np.exp(0.5 * (w0 - w0.max())))  # sqrt of the softmax start
+    value, mu, spread, agree = _minimize_roots(_root_objective(0.5 * alpha_sq * L, F), starts,
+                                               gtol=tol)
     return ChiResult(
-        value=float(best.fun),
+        value=value,
         minimizer=mu,
         n_nodes=n,
         spacing=spacing,
-        restarts_agree=spread <= 1e-6 * max(1.0, abs(best.fun)),
+        restarts_agree=agree,
         spread=spread,
     )
-
-
-def _numerical_grad(F, mu, h=1e-7):
-    g = np.zeros_like(mu)
-    base = F(mu)
-    for i in range(len(mu)):
-        e = np.zeros_like(mu)
-        e[i] = h
-        g[i] = (F(mu + e) - base) / h
-    return g
 
 
 def rescaled_bound_experiment(

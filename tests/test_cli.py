@@ -149,3 +149,20 @@ def test_library_error_exit_code(tmp_path, capsys):
     rc = main(["density-eval", path, "--seed", "1", "--no-timestamp", "--assert"])
     assert rc == 2
     assert "error: flow series not converged" in capsys.readouterr().err
+
+
+def test_unknown_config_key(tmp_path, capsys):
+    # a typo in --set names the key and the command, exit 2
+    rc = main(["chi", "--set", "radus=2", "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: unknown config key 'radus' for command 'chi'" in err
+    # a --set key the command does not read, though another command does
+    path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=2", "resolution=64"])
+    assert main(["density-eval", path, "--set", "restarts=2"]) == 2
+    assert "'restarts' for command 'density-eval'" in capsys.readouterr().err
+    # a file shared between commands may carry another command's keys, not typos
+    assert main(["marginal-check", path, "--no-timestamp"]) == 0
+    path = write_cfg(tmp_path, TWO_STATE_CFG + ["pionts=2"], name="typo.cfg")
+    assert main(["density-eval", path, "--no-timestamp"]) == 2
+    assert "unknown config key 'pionts'" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from loctimes.ldp import (
     rate_function_symmetric,
     rescaled_bound_experiment,
     _dirichlet_laplacian,
+    _root_objective,
 )
 
 THREE_STATE = validate_generator([[-1, 1, 0], [0.5, -1, 0.5], [0, 1, -1]])
@@ -166,12 +167,94 @@ def test_upper_bound_with_constraint():
 
 
 def test_simplex_ball_projection():
-    ball = SimplexBall(np.array([0.6, 0.2, 0.2]), 0.15)
-    assert np.allclose(ball.project(ball.center), ball.center, atol=1e-12)
-    x = ball.project(np.array([5.0, -2.0, 0.1]))
-    assert ball.contains(x, tol=1e-8)
     with pytest.raises(ValueError):
         SimplexBall(np.array([0.5, 0.5]), 0.0)
+
+
+def test_upper_bound_raises_when_ball_misses_simplex():
+    # the ball around (0.9, 0.9) of radius 0.1 has no point with sum 1
+    gen = validate_generator([[-1, 1], [1, -1]])
+    with pytest.raises(ValueError, match="inside the constraint set"):
+        ldp_upper_bound_rhs(gen, (0, 1), 2.0, constraint=SimplexBall(np.array([0.9, 0.9]), 0.1))
+
+
+@pytest.mark.parametrize("name", ["zero", "entropy", "power:0.3", "linear", "no-gradient"])
+def test_root_objective_gradient(name, tmp_path):
+    # analytic gradient over v against central differences of the value
+    n = 7
+    rng = np.random.default_rng(17)
+    if name == "linear":
+        path = tmp_path / "v.txt"
+        np.savetxt(path, rng.uniform(-1.0, 1.0, size=n))
+        name = f"linear:{path}"
+    if name == "no-gradient":
+        F = lambda mu: float(np.sum(np.sin(3.0 * mu)) + mu @ mu)
+        tol = 1e-5  # the objective falls back to forward differences of F
+    else:
+        F = make_box_functional(name, 1, 1.0, n)
+        tol = 1e-7
+    L = -random_symmetric_generator(n, rng).rates
+    objective = _root_objective(L, F)
+    h = 1e-6
+    for _ in range(3):
+        v = rng.uniform(0.2, 1.5, size=n)
+        _, grad = objective(v)
+        central = np.array([(objective(v + h * e)[0] - objective(v - h * e)[0]) / (2 * h)
+                            for e in np.eye(n)])
+        assert np.max(np.abs(grad - central)) <= tol * max(1.0, np.max(np.abs(central)))
+
+
+def test_upper_bound_rhs_linear_functional_is_eigenvalue():
+    # with F(mu) = V . mu the inner value is a Rayleigh quotient: the smallest
+    # eigenvalue of -A - diag(V)
+    rng = np.random.default_rng(19)
+    for n in (3, 5, 8):
+        gen = random_symmetric_generator(n, rng)
+        V = rng.uniform(-1.0, 2.0, size=n)
+        F = lambda mu: float(V @ mu)
+        F.gradient = lambda mu: V
+        res = ldp_upper_bound_rhs(gen, gen.states, 3.0, functional=F, n_restarts=4)
+        lam = np.linalg.eigvalsh(-gen.rates - np.diag(V))[0]
+        assert abs(res.inner_value - lam) <= 1e-10
+        assert res.restarts_agree and res.spread <= 1e-10
+
+
+def _grid_minimum(A, ball, points=201, rounds=8):
+    """Minimum of the Dirichlet form of sqrt(mu) over mu = c + y >= 0 with
+    sum(y) = 0 and |y| <= r: a grid over polar coordinates (rho, theta) of
+    y, refined around its best point."""
+    n = len(A)
+    basis = np.linalg.svd(np.ones((1, n)))[2][1:]  # orthonormal, sum zero
+    lo, hi = np.array([0.0, 0.0]), np.array([ball.radius, 2.0 * np.pi])
+    best = np.inf
+    for _ in range(rounds):
+        rho, theta = (g.ravel() for g in np.meshgrid(np.linspace(lo[0], hi[0], points),
+                                                      np.linspace(lo[1], hi[1], points),
+                                                      indexing="ij"))
+        y = (rho[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))[:, :n - 1]
+        mu = ball.center + y @ basis
+        keep = (mu >= 0).all(axis=1)
+        root = np.sqrt(mu[keep])
+        values = np.einsum("ix,xy,iy->i", root, -A, root)
+        k = int(np.argmin(values))
+        best = min(best, values[k])
+        cell = (hi - lo) / (points - 1)
+        centre = np.array([rho[keep][k], theta[keep][k]])
+        lo, hi = centre - 2 * cell, centre + 2 * cell
+        lo[0], hi[0] = max(lo[0], 0.0), min(hi[0], ball.radius)
+    return float(best)
+
+
+def test_upper_bound_inner_value_matches_grid():
+    rng = np.random.default_rng(23)
+    for n, center, radius in [(2, [0.8, 0.2], 0.1), (2, [0.3, 0.7], 0.05),
+                              (3, [0.7, 0.2, 0.1], 0.15), (3, [0.2, 0.3, 0.5], 0.3),
+                              (3, [0.05, 0.05, 0.9], 0.1)]:
+        gen = random_symmetric_generator(n, rng)
+        ball = SimplexBall(np.array(center), radius)
+        res = ldp_upper_bound_rhs(gen, gen.states, 2.0, constraint=ball, n_restarts=4)
+        assert ball.contains(res.minimizer)
+        assert abs(res.inner_value - _grid_minimum(gen.rates, ball)) <= 1e-9
 
 
 def test_chi_one_dim_dirichlet_eigenvalue():
