@@ -246,12 +246,13 @@ def _numerical_grad(F, mu, h=1e-7):
     return g
 
 
-def _minimize_roots(objective, starts, constraint: SimplexBall | None = None, gtol: float = 1e-10):
-    """Minimize the objective from each start v0; returns the best value,
-    its measure v^2 / v.v, the spread of the optima and whether the
-    restarts agree.
+def _minimize_roots(objective, starts, constraint: SimplexBall | None = None, gtol: float = 1e-10,
+                    roots: Callable[[np.ndarray], np.ndarray] | None = None):
+    """Minimize the objective from each start; returns the best value, its
+    measure v^2 / v.v, the spread of the optima and whether the restarts
+    agree.  The solver's variable is v, or x with v = roots(x) if given.
 
-    Without a constraint this is L-BFGS-B over v.  With a SimplexBall it is
+    Without a constraint this is L-BFGS-B.  With a SimplexBall it is
     SLSQP on the unit sphere v.v = 1 with v >= 0, where mu = v^2 and the
     ball reads r^2 - |v^2 - c|^2 >= 0; only ends inside the ball count.
     """
@@ -275,7 +276,8 @@ def _minimize_roots(objective, starts, constraint: SimplexBall | None = None, gt
     best_val, best_mu, optima = np.inf, None, []
     for v0 in starts:
         res = solve(v0)
-        mu = res.x * res.x / float(res.x @ res.x)
+        v = res.x if roots is None else roots(res.x)
+        mu = v * v / float(v @ v)
         if constraint is not None and not constraint.contains(mu):
             continue
         optima.append(float(res.fun))
@@ -371,6 +373,28 @@ def _dirichlet_laplacian(n_per_axis: int, dim: int):
     return L
 
 
+def _box_objective(n_per_axis: int, dim: int, alpha_sq: float, F):
+    """``chi_discrete``'s objective over x, where v = roots(x) = S (x / sqrt(lambda)), S (the
+    per-axis sine transform; S = S^T = S^-1) and lambda being the eigenbasis and eigenvalues
+    of L = (alpha^2 / 2) * Laplacian, so v.Lv = x.x.  Returns it, roots and roots^-1."""
+    k = np.arange(1, n_per_axis + 1)
+    S = np.sqrt(2.0 / (n_per_axis + 1)) * np.sin(np.pi * np.outer(k, k) / (n_per_axis + 1))
+    per_axis = 2.0 - 2.0 * np.cos(np.pi * k / (n_per_axis + 1))
+    scale = 1.0 / np.sqrt(0.5 * alpha_sq * sum(np.meshgrid(*[per_axis] * dim, indexing="ij")).ravel())
+    objective = _root_objective(0.5 * alpha_sq * _dirichlet_laplacian(n_per_axis, dim), F)
+
+    def sine(x):
+        for axis in range(dim):
+            x = (S @ x.reshape(n_per_axis ** axis, n_per_axis, -1)).ravel()
+        return x
+
+    def over_x(x):
+        value, grad = objective(sine(scale * x))
+        return value, scale * sine(grad)
+
+    return over_x, lambda x: sine(scale * x), lambda v: sine(v) / scale
+
+
 def make_box_functional(name: str, dim: int, radius: float, n_per_axis: int):
     """Resolve a catalog name into a callable on probability vectors over
     the box lattice, in continuum units.
@@ -436,22 +460,24 @@ def chi_discrete(
     (including pairs into the zero boundary) of the squared difference of
     sqrt(mu); for the zero functional in one dimension this converges to
     the principal Dirichlet eigenvalue of -Laplacian/2 on the interval.
+
+    L-BFGS-B runs over x, where the energy is x.x (see ``_box_objective``);
+    ``tol`` is its gradient tolerance in x.
     """
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
     spacing = 2.0 * radius / (n_per_axis + 1)
     alpha_sq = 1.0 / spacing ** 2
-    L = _dirichlet_laplacian(n_per_axis, dim)
     F = make_box_functional(functional, dim, radius, n_per_axis) if isinstance(functional, str) else functional
     n = n_per_axis ** dim
+    objective, roots, from_roots = _box_objective(n_per_axis, dim, alpha_sq, F)
 
     rng = np.random.default_rng(seed)
     starts = []
     for k in range(n_restarts):
         w0 = np.zeros(n) if k == 0 else rng.normal(scale=1.0, size=n)
-        starts.append(np.exp(0.5 * (w0 - w0.max())))  # sqrt of the softmax start
-    value, mu, spread, agree = _minimize_roots(_root_objective(0.5 * alpha_sq * L, F), starts,
-                                               gtol=tol)
+        starts.append(from_roots(np.exp(0.5 * (w0 - w0.max()))))  # sqrt of the softmax start
+    value, mu, spread, agree = _minimize_roots(objective, starts, gtol=tol, roots=roots)
     return ChiResult(
         value=value,
         minimizer=mu,

@@ -14,6 +14,7 @@ from loctimes.ldp import (
     rate_function_symmetric,
     rescaled_bound_experiment,
     _dirichlet_laplacian,
+    _box_objective,
     _root_objective,
 )
 
@@ -280,6 +281,45 @@ def test_chi_matches_dense_eigenvalue():
     H = 0.5 / spacing ** 2 * _dirichlet_laplacian(n, 1).toarray() - np.diag(V)
     lam = np.linalg.eigvalsh(H)[0]
     assert abs(res.value - lam) < 1e-7
+
+
+@pytest.mark.parametrize("n, dim", [(7, 1), (4, 2), (3, 3)])
+def test_box_objective_change_of_variables(n, dim):
+    # v = roots(x) takes the energy to x.x, from_roots inverts it, the value
+    # is the plain objective's at v, and the gradient over x matches central
+    # differences
+    alpha_sq = 3.0
+    F = make_box_functional("entropy", dim, 1.0, n)
+    objective, roots, from_roots = _box_objective(n, dim, alpha_sq, F)
+    L = 0.5 * alpha_sq * _dirichlet_laplacian(n, dim).toarray()
+    plain = _root_objective(L, F)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = rng.normal(size=n ** dim)
+        v = roots(x)
+        assert abs(v @ L @ v - x @ x) < 1e-12 * (x @ x)
+        assert np.allclose(from_roots(v), x, atol=1e-12)
+        value, grad = objective(x)
+        assert abs(value - plain(v)[0]) < 1e-12 * max(1.0, abs(value))
+        h = 1e-6
+        numeric = [(objective(x + h * e)[0] - objective(x - h * e)[0]) / (2 * h)
+                   for e in np.eye(n ** dim)]
+        assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-7)
+
+
+def test_chi_two_dim_matches_dense_eigenvalue():
+    # the two-dimensional lattice, with a potential that is not symmetric
+    # under swapping the axes
+    n, radius = 6, 1.0
+    spacing = 2.0 * radius / (n + 1)
+    V = np.random.default_rng(17).uniform(0.0, 2.0, size=n * n)
+    F = lambda mu: float(V @ mu)
+    F.gradient = lambda mu: V
+    res = chi_discrete(2, radius, n, F, n_restarts=3)
+    H = 0.5 / spacing ** 2 * _dirichlet_laplacian(n, 2).toarray() - np.diag(V)
+    w, vecs = np.linalg.eigh(H)
+    assert abs(res.value - w[0]) < 1e-9 * abs(w[0])
+    assert np.allclose(res.minimizer, vecs[:, 0] ** 2, atol=1e-7)
 
 
 def test_entropy_functional_lowers_value_with_radius():
