@@ -15,14 +15,11 @@ from .chain import (
     validate_generator,
 )
 from .density import (
-    BalancedFlow,
     DensityResult,
-    LocalTimeVector,
     SeriesEvaluator,
     density_finite_difference,
     density_quadrature,
     density_series,
-    enumerate_balanced_flows,
     gauge_invariance_check,
     local_time_density,
     theta_integral_series,

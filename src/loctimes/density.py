@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lgamma
-from typing import Hashable, Mapping, Sequence
+from math import comb, factorial, lgamma
+from typing import Mapping
 
 import numpy as np
 
 from .chain import Generator, RangeSpec
 
 __all__ = [
-    "BalancedFlow",
     "DensityResult",
-    "LocalTimeVector",
-    "enumerate_balanced_flows",
     "theta_integral_series",
     "density_series",
     "density_quadrature",
@@ -59,32 +56,13 @@ class CapacityError(RuntimeError):
 # local-time vectors
 
 
-@dataclass(frozen=True)
-class LocalTimeVector:
-    """Positive occupation times on a range, summing to the horizon."""
-
-    times: dict[Hashable, float]
-    horizon: float = field(init=False)
-
-    def __post_init__(self):
-        vals = np.array(list(self.times.values()), dtype=float)
-        if np.any(vals <= 0):
-            raise ValueError("all local times must be positive")
-        total = float(vals.sum())
-        object.__setattr__(self, "horizon", total)
-
-    def on(self, spec: RangeSpec) -> np.ndarray:
-        if set(self.times) != set(spec.range):
-            raise ValueError("local-time support does not match the range")
-        return np.array([self.times[s] for s in spec.range], dtype=float)
-
-
 def as_times(spec: RangeSpec, l) -> np.ndarray:
-    """Coerce dict / LocalTimeVector / sequence to an array ordered by the range."""
-    if isinstance(l, LocalTimeVector):
-        return l.on(spec)
+    """Coerce a dict keyed by site, or a sequence in range order, to a
+    positive array ordered by the range."""
     if isinstance(l, Mapping):
-        return LocalTimeVector(dict(l)).on(spec)
+        if set(l) != set(spec.range):
+            raise ValueError("local-time support does not match the range")
+        l = [l[s] for s in spec.range]
     arr = np.asarray(l, dtype=float)
     if arr.shape != (spec.size,):
         raise ValueError(f"expected {spec.size} local times, got shape {arr.shape}")
@@ -97,60 +75,154 @@ def as_times(spec: RangeSpec, l) -> np.ndarray:
 # balanced flows
 
 
-@dataclass(frozen=True)
-class BalancedFlow:
-    """Nonnegative integer edge counts with zero net divergence at every site."""
+class _Packing:
+    """Rows of nonnegative integers below 2**bits, packed into int64 words.
 
-    counts: tuple[tuple[int, ...], ...]
+    Field e sits in word e // per_word, the first field of a word in its
+    highest bits, and bit 63 stays clear.  So comparing the words in turn
+    orders packed rows lexicographically, and adding packed rows adds
+    their fields as long as no field sum reaches 2**bits."""
 
-    def __post_init__(self):
-        n = np.array(self.counts, dtype=int)
-        if n.ndim != 2 or n.shape[0] != n.shape[1]:
-            raise ValueError("counts must be square")
-        if np.any(n < 0) or np.any(np.diag(n) != 0):
-            raise ValueError("counts must be nonnegative with zero diagonal")
-        if np.any(n.sum(axis=1) != n.sum(axis=0)):
-            raise ValueError("flow is not balanced")
+    def __init__(self, n_fields: int, bits: int):
+        per_word = 63 // bits
+        e = np.arange(n_fields)
+        self.word = e // per_word
+        self.shift = bits * (per_word - 1 - e % per_word)
+        self.mask = (1 << bits) - 1
+        self.words = max(1, -(-n_fields // per_word))
+        self.matrix = np.zeros((n_fields, self.words), dtype=np.int64)
+        self.matrix[e, self.word] = np.left_shift(1, self.shift)
 
-    @property
-    def degree(self) -> int:
-        return int(np.sum(self.counts))
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        return rows @ self.matrix
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        return (keys[:, self.word] >> self.shift) & self.mask
+
+
+def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of packed keys in lexicographic order, and each
+    input row's index among them."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _simple_cycles(size: int, longest: int) -> np.ndarray:
+    """Edge-count rows (flattened ``size`` x ``size``) of the simple directed
+    cycles of at most ``longest`` sites in the complete digraph on ``size``
+    sites, each once, shortest first."""
+    rows = []
+    for length in range(2, longest + 1):
+        for sites in itertools.combinations(range(size), length):
+            for rest in itertools.permutations(sites[1:]):
+                cycle = (sites[0],) + rest
+                row = np.zeros(size * size, dtype=np.int64)
+                row[[a * size + b for a, b in zip(cycle, cycle[1:] + cycle[:1])]] = 1
+                rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, size * size)
 
 
 class _FlowTable:
-    """Enumerated balanced flows on ``size`` sites up to a total degree,
-    stored column-flattened for vectorized coefficient evaluation.
+    """Balanced flows on ``size`` sites, complete through degree
+    ``max_degree``, stored column-flattened for vectorized coefficient
+    evaluation.
 
     A flow enters the series only through its coefficient and its
     monomial prod_x l_x^{deg_x/2}, where deg_x is the in + out degree at
     site x.  Flows with equal site degrees share a monomial, so the table
     also keeps the distinct site-degree rows (``powers``, halved; they are
     all even) and each flow's row in them (``monomial``).  Flows and
-    monomials are both in degree order, so those of degree <= K are a
-    prefix of each."""
+    monomials are both in degree order, lexicographic within a degree, so
+    those of degree <= K are a prefix of each.
 
-    def __init__(self, size: int, max_degree: int, limit: int):
-        mats = _enumerate_matrices(size, max_degree, limit)
-        counts = np.array(mats, dtype=np.int64).reshape(len(mats), size * size)
-        order = np.lexsort(tuple(counts[:, k] for k in range(size * size - 1, -1, -1)))
-        order = order[np.argsort(counts[order].sum(axis=1), kind="stable")]
-        counts = counts[order]
+    ``extend`` appends one layer per degree.  Every balanced flow is a sum
+    of simple directed cycles (flow decomposition), so the flows of degree
+    k are those of degree k - |c| plus a cycle c, deduplicated.  A flow is
+    held as a packed key of its off-diagonal counts, so adding a cycle is
+    an integer add, and sorting the keys both deduplicates a layer and puts
+    it in lexicographic order.  Every cycle through an edge adds at least
+    2 to the degree, so no count exceeds K // 2.
+    """
+
+    _LAYERED = ("counts", "degree", "inv_factorial", "powers", "monomial", "monomial_degree")
+
+    def __init__(self, size: int):
         self.size = size
-        self.max_degree = max_degree
-        self.counts = counts
-        self.degree = counts.sum(axis=1)
-        sq = counts.reshape(-1, size, size)
-        site_degree = sq.sum(axis=1) + sq.sum(axis=2)  # in + out at each site
-        self.inv_factorial = np.exp(
-            -np.sum(_LOG_FACT[counts], axis=1)
-        )
-        rows, index = np.unique(site_degree, axis=0, return_inverse=True)
-        by_degree = np.argsort(rows.sum(axis=1), kind="stable")
-        rank = np.empty_like(by_degree)
-        rank[by_degree] = np.arange(len(by_degree))
-        self.powers = (rows[by_degree] // 2).astype(float)
-        self.monomial = rank[index.ravel()]
-        self.monomial_degree = rows[by_degree].sum(axis=1) // 2
+        self.max_degree = -1
+        self.counts = np.zeros((0, size * size), dtype=np.int64)
+        self.degree = np.zeros(0, dtype=np.int64)
+        self.inv_factorial = np.zeros(0)
+        self.powers = np.zeros((0, size))
+        self.monomial = np.zeros(0, dtype=np.intp)
+        self.monomial_degree = np.zeros(0, dtype=np.int64)
+
+    def extend(self, max_degree: int, limit: int = FLOW_LIMIT):
+        """Append the layers through ``max_degree``.  Raises
+        ``CapacityError`` when a layer would take the flow count past
+        ``limit``; the layers below it are kept."""
+        if max_degree <= self.max_degree:
+            return
+        n = self.size
+        full = CapacityError(f"more than {limit} balanced flows at size={n}, degree<={max_degree}")
+        # each simple cycle of at most max_degree sites is itself a flow
+        longest = min(n, max_degree)
+        if 1 + sum(comb(n, m) * factorial(m - 1) for m in range(2, longest + 1)) > limit:
+            raise full
+        off = ~np.eye(n, dtype=bool).ravel()
+        bits = max(1, (max_degree // 2).bit_length())
+        flows, sites = _Packing(n * (n - 1), bits), _Packing(n, bits)
+        rows = _simple_cycles(n, longest)
+        cycles = list(zip(flows.pack(rows[:, off]), rows.sum(axis=1)))
+        keys = {}  # degree -> the layer's sorted keys
+        for k in range(max(0, self.max_degree + 1 - n), self.max_degree + 1):
+            lo, hi = np.searchsorted(self.degree, [k, k + 1])
+            keys[k] = flows.pack(self.counts[lo:hi, off])
+        parts = {name: [getattr(self, name)] for name in self._LAYERED}
+        total, n_monomials = len(self.counts), len(self.powers)
+        try:
+            for k in range(self.max_degree + 1, max_degree + 1):
+                layer = np.zeros((int(k == 0), flows.words), dtype=np.int64)
+                pending, waiting = [], 0
+                for i, (key, length) in enumerate(cycles):
+                    if length <= k:
+                        pending.append(keys[k - length] + key)
+                        waiting += len(pending[-1])
+                    # merging once the candidates outnumber the merged keys
+                    # holds at most about twice the room left at a time
+                    if pending and (i == len(cycles) - 1 or waiting > len(layer)):
+                        layer = _unique_rows(np.concatenate([layer, *pending]))[0]
+                        pending, waiting = [], 0
+                        if total + len(layer) > limit:
+                            break
+                if total + len(layer) > limit:
+                    raise full
+                keys[k] = layer
+                counts = np.zeros((len(layer), n * n), dtype=np.int64)
+                counts[:, off] = flows.unpack(layer)
+                sq = counts.reshape(-1, n, n)
+                half = (sq.sum(axis=1) + sq.sum(axis=2)) // 2  # in + out, halved
+                rows, index = _unique_rows(sites.pack(half))
+                new = {
+                    "counts": counts,
+                    "degree": np.full(len(layer), k, dtype=np.int64),
+                    "inv_factorial": np.exp(-np.sum(_LOG_FACT[counts], axis=1)),
+                    "powers": sites.unpack(rows).astype(float),
+                    "monomial": n_monomials + index,
+                    "monomial_degree": np.full(len(rows), k, dtype=np.int64),
+                }
+                for name, arr in new.items():
+                    parts[name].append(arr)
+                total += len(layer)
+                n_monomials += len(rows)
+                self.max_degree = k
+        finally:
+            for name, arrs in parts.items():
+                setattr(self, name, np.concatenate(arrs))
 
     def sizes(self, K: int) -> tuple[int, int]:
         """Numbers of flows and of monomials of degree <= K."""
@@ -173,95 +245,16 @@ class _FlowTable:
 
 
 _LOG_FACT = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 200)))))
-_FLOW_CACHE: dict[tuple[int, int], _FlowTable] = {}
+_FLOW_TABLES: dict[int, _FlowTable] = {}
 
 
 def _flow_table(size: int, max_degree: int, limit: int = FLOW_LIMIT) -> _FlowTable:
-    for (s, d), tab in _FLOW_CACHE.items():
-        if s == size and d >= max_degree:
-            return tab
-    tab = _FlowTable(size, max_degree, limit)
-    _FLOW_CACHE[(size, max_degree)] = tab
-    # drop smaller tables for the same size
-    for key in [k for k in _FLOW_CACHE if k[0] == size and k[1] < max_degree]:
-        del _FLOW_CACHE[key]
+    """The shared table for ``size`` sites, extended through ``max_degree``."""
+    if size not in _FLOW_TABLES:
+        _FLOW_TABLES[size] = _FlowTable(size)
+    tab = _FLOW_TABLES[size]
+    tab.extend(max_degree, limit)
     return tab
-
-
-def _enumerate_matrices(size: int, max_degree: int, limit: int) -> list:
-    """All balanced nonnegative integer matrices (zero diagonal) with total
-    degree at most ``max_degree``, via row-wise depth-first search.
-
-    Rows are filled in order; once a row is complete its sum is final, and
-    the remaining column deficit of completed rows prunes the search.  The
-    last row is forced by the column deficits.
-    """
-    if size == 1 or max_degree == 0:
-        return [np.zeros((size, size), dtype=int)]
-    out: list[np.ndarray] = []
-    mat = np.zeros((size, size), dtype=int)
-    rowsum = np.zeros(size, dtype=int)
-    colsum = np.zeros(size, dtype=int)
-
-    def fill_row(i: int, j: int, used: int):
-        if len(out) > limit:
-            raise CapacityError(
-                f"more than {limit} balanced flows at size={size}, degree<={max_degree}"
-            )
-        if i == size - 1:
-            # forced: last row must exactly cover the remaining column deficits
-            need = rowsum[:size - 1] - colsum[:size - 1]
-            total = int(need.sum())
-            if np.any(need < 0) or used + total > max_degree:
-                return
-            if total != colsum[size - 1]:
-                return
-            mat[size - 1, : size - 1] = need
-            out.append(mat.copy())
-            mat[size - 1, : size - 1] = 0
-            return
-        if j == size:
-            # row i complete; its sum is final
-            if colsum[i] > rowsum[i]:
-                return
-            deficit = sum(
-                max(0, int(rowsum[k] - colsum[k])) for k in range(i + 1)
-            )
-            if used + deficit > max_degree:
-                return
-            fill_row(i + 1, 0, used)
-            return
-        if j == i:
-            fill_row(i, j + 1, used)
-            return
-        for v in range(max_degree - used + 1):
-            mat[i, j] = v
-            rowsum[i] += v
-            colsum[j] += v
-            fill_row(i, j + 1, used + v)
-            mat[i, j] = 0
-            rowsum[i] -= v
-            colsum[j] -= v
-
-    fill_row(0, 0, 0)
-    return out
-
-
-def enumerate_balanced_flows(
-    range_size: int, max_degree: int, limit: int = FLOW_LIMIT
-) -> list[BalancedFlow]:
-    """All balanced flows on ``range_size`` sites with degree <= ``max_degree``,
-    each exactly once, in a deterministic (degree-major) order."""
-    if range_size < 1:
-        raise ValueError("range_size must be >= 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    tab = _flow_table(range_size, max_degree, limit)
-    keep = tab.degree <= max_degree
-    return [
-        BalancedFlow(tuple(map(tuple, c.reshape(range_size, range_size))))
-        for c in tab.counts[keep]
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,21 @@ import pytest
 
 from loctimes.chain import RangeSpec, validate_generator
 from loctimes.density import (
+    FLOW_LIMIT,
     CapacityError,
     ConvergenceError,
     SeriesEvaluator,
     density_finite_difference,
     density_quadrature,
     density_series,
-    enumerate_balanced_flows,
     gauge_invariance_check,
     local_time_density,
     theta_integral_series,
     _derivative_expansion,
     _factorial_tail,
     _flow_table,
+    _FlowTable,
+    _LOG_FACT,
     _series_degree,
 )
 
@@ -43,27 +45,151 @@ def random_generator(n, rng, scale=0.8):
     return validate_generator(A)
 
 
+def _enumerate_matrices(size: int, max_degree: int) -> list:
+    """All balanced nonnegative integer matrices (zero diagonal) with total
+    degree at most ``max_degree``, via row-wise depth-first search: the
+    reference for the cycle-layer build of ``_FlowTable``.
+
+    Rows are filled in order; once a row is complete its sum is final, and
+    the remaining column deficit of completed rows prunes the search.  The
+    last row is forced by the column deficits.
+    """
+    if size == 1 or max_degree == 0:
+        return [np.zeros((size, size), dtype=int)]
+    out: list[np.ndarray] = []
+    mat = np.zeros((size, size), dtype=int)
+    rowsum = np.zeros(size, dtype=int)
+    colsum = np.zeros(size, dtype=int)
+
+    def fill_row(i: int, j: int, used: int):
+        if i == size - 1:
+            # forced: last row must exactly cover the remaining column deficits
+            need = rowsum[:size - 1] - colsum[:size - 1]
+            total = int(need.sum())
+            if np.any(need < 0) or used + total > max_degree:
+                return
+            if total != colsum[size - 1]:
+                return
+            mat[size - 1, : size - 1] = need
+            out.append(mat.copy())
+            mat[size - 1, : size - 1] = 0
+            return
+        if j == size:
+            # row i complete; its sum is final
+            if colsum[i] > rowsum[i]:
+                return
+            deficit = sum(
+                max(0, int(rowsum[k] - colsum[k])) for k in range(i + 1)
+            )
+            if used + deficit > max_degree:
+                return
+            fill_row(i + 1, 0, used)
+            return
+        if j == i:
+            fill_row(i, j + 1, used)
+            return
+        for v in range(max_degree - used + 1):
+            mat[i, j] = v
+            rowsum[i] += v
+            colsum[j] += v
+            fill_row(i, j + 1, used + v)
+            mat[i, j] = 0
+            rowsum[i] -= v
+            colsum[j] -= v
+
+    fill_row(0, 0, 0)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def flow_counts(n, K):
+    """The reference flows of degree <= K as (flows, n, n) counts."""
+    return np.array(_enumerate_matrices(n, K), dtype=np.int64).reshape(-1, n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_table(size, K):
+    """The table's arrays from the reference enumeration, ordered by a
+    lexsort and grouped into monomials by ``np.unique``."""
+    counts = flow_counts(size, K).reshape(-1, size * size)
+    order = np.lexsort(tuple(counts[:, k] for k in range(size * size - 1, -1, -1)))
+    order = order[np.argsort(counts[order].sum(axis=1), kind="stable")]
+    counts = counts[order]
+    sq = counts.reshape(-1, size, size)
+    site_degree = sq.sum(axis=1) + sq.sum(axis=2)
+    rows, index = np.unique(site_degree, axis=0, return_inverse=True)
+    by_degree = np.argsort(rows.sum(axis=1), kind="stable")
+    rank = np.empty_like(by_degree)
+    rank[by_degree] = np.arange(len(by_degree))
+    return {
+        "counts": counts,
+        "inv_factorial": np.exp(-np.sum(_LOG_FACT[counts], axis=1)),
+        "powers": (rows[by_degree] // 2).astype(float),
+        "monomial": rank[index.ravel()],
+        "monomial_degree": rows[by_degree].sum(axis=1) // 2,
+    }
+
+
+def assert_table_matches_reference(tab, size, K):
+    n_flows, n_monomials = tab.sizes(K)
+    ref = reference_table(size, K)
+    assert len(ref["counts"]) == n_flows and len(ref["powers"]) == n_monomials
+    for name, expected in ref.items():
+        got = getattr(tab, name)[: n_monomials if name in ("powers", "monomial_degree")
+                                 else n_flows]
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
+@pytest.mark.parametrize("size, K", [(2, 16), (3, 20), (4, 14), (4, 18), (7, 4)])
+def test_flow_table_matches_reference(size, K):
+    # at (7, 4), 42 off-diagonal counts of 2 bits take two key words
+    tab = _FlowTable(size)
+    tab.extend(K)
+    assert tab.max_degree == K
+    assert_table_matches_reference(tab, size, K)
+
+
+def test_flow_table_extends_in_place():
+    tab = _FlowTable(4)
+    tab.extend(12)
+    assert_table_matches_reference(tab, 4, 12)
+    tab.extend(18)
+    assert tab.max_degree == 18
+    assert_table_matches_reference(tab, 4, 18)
+    assert _flow_table(4, 5) is _flow_table(4, 9)
+
+
 def test_enumerate_flows_size2():
-    assert len(enumerate_balanced_flows(2, 0)) == 1
-    flows = enumerate_balanced_flows(2, 4)
-    assert len(flows) == 3  # n12 = n21 = k for k in 0..2
+    assert _flow_table(2, 0).sizes(0)[0] == 1
+    assert _flow_table(2, 4).sizes(4)[0] == 3  # n12 = n21 = k for k in 0..2
 
 
 def test_enumerate_flows_size3_degree2():
-    flows = enumerate_balanced_flows(3, 2)
-    assert len(flows) == 4  # zero flow plus the three 2-cycles
+    assert _flow_table(3, 2).sizes(2)[0] == 4  # zero flow plus the three 2-cycles
 
 
 def test_enumerate_flows_capacity_guard():
     with pytest.raises(CapacityError):
-        enumerate_balanced_flows(4, 40, limit=100)
+        _flow_table(4, 40, limit=100)
+    # the layer that passed the limit is dropped; those below it stay whole
+    tab = _FlowTable(4)
+    with pytest.raises(CapacityError, match="more than 100 balanced flows"):
+        tab.extend(40, limit=100)
+    assert len(tab.counts) <= 100 < len(flow_counts(4, tab.max_degree + 1))
+    assert_table_matches_reference(tab, 4, tab.max_degree)
+    tab.extend(tab.max_degree + 1, limit=FLOW_LIMIT)
+    assert_table_matches_reference(tab, 4, tab.max_degree)
+    # the simple cycles of at most 12 of 12 sites already pass the limit
+    with pytest.raises(CapacityError):
+        _FlowTable(12).extend(12)
 
 
 def test_flow_balance_invariant():
-    for flow in enumerate_balanced_flows(3, 4):
-        counts = np.array(flow.counts)
-        assert np.all(counts.sum(axis=1) == counts.sum(axis=0))
-        assert np.all(np.diag(counts) == 0)
+    tab = _flow_table(3, 4)
+    counts = tab.counts[: tab.sizes(4)[0]].reshape(-1, 3, 3)
+    assert np.all(counts.sum(axis=1) == counts.sum(axis=2))
+    assert np.all(counts[:, np.arange(3), np.arange(3)] == 0)
 
 
 def test_theta_series_zero_matrix():
@@ -227,11 +353,6 @@ def test_dispatcher_returns_result():
     res = local_time_density(TWO_STATE, SPEC_AB, L_UNIT)
     assert res.method in ("series", "quadrature")
     assert abs(res.value - RHO_12) < 1e-8
-
-
-@functools.lru_cache(maxsize=None)
-def flow_counts(n, K):
-    return np.array([f.counts for f in enumerate_balanced_flows(n, K)])
 
 
 def flow_sums(B, l, K, Qs):
