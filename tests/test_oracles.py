@@ -33,16 +33,31 @@ def test_expm_two_state_eigendecomposition():
     assert abs(E[0, 0] - EXP_11) < 1e-14
 
 
-def test_expm_matches_scipy():
-    from scipy.linalg import expm as scipy_expm
+def _mpmath_expm(M):
+    """e^M to 30 digits, as a numpy array of the input's kind."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        E = mp.expm(mp.matrix(M.tolist()))
+        return np.array(E.tolist(), dtype=M.dtype)
 
+
+def test_expm_matches_mpmath():
     rng = np.random.default_rng(5)
     M = rng.normal(size=(6, 6))
-    assert np.allclose(matrix_exponential(M), scipy_expm(M), rtol=1e-12, atol=1e-12)
+    assert np.allclose(matrix_exponential(M), _mpmath_expm(M), rtol=1e-12, atol=1e-12)
     Z = M + 1j * rng.normal(size=(6, 6))
     E = matrix_exponential(Z, 0.7)
     assert E.dtype == complex
-    assert np.allclose(E, scipy_expm(0.7 * Z), rtol=1e-12, atol=1e-12)
+    assert np.allclose(E, _mpmath_expm(0.7 * Z), rtol=1e-12, atol=1e-12)
+
+
+def test_expm_guards():
+    with pytest.raises(ValueError):
+        matrix_exponential(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        matrix_exponential(np.array([[0.0, np.nan], [1.0, 0.0]]))
+    with pytest.raises(OverflowError):
+        matrix_exponential(np.array([[-2e12, 2e12], [0.0, 0.0]]))
 
 
 def test_expm_stochastic_rows():

@@ -34,9 +34,18 @@ def test_bessel_frozen_values():
 def test_bessel_scaled_against_mpmath():
     mp = pytest.importorskip("mpmath")
     for order in (0, 1):
-        for z in (0.1, 1.0, 7.0, 29.0, 31.0, 100.0, 300.0):
+        for z in (0.1, 1.0, 7.0, 29.0, 31.0, 100.0, 300.0, 1e3, 1e4):
             ref = float(mp.besseli(order, z) * mp.exp(-z))
             assert abs(bessel_i_scaled(order, z) - ref) <= 1e-14 * max(ref, 1.0)
+
+
+def test_bessel_guards():
+    with pytest.raises(ValueError):
+        bessel_i_scaled(2, 1.0)
+    with pytest.raises(ValueError):
+        bessel_i_scaled(0, -1.0)
+    with pytest.raises(OverflowError):
+        bessel_i(0, 701.0)
 
 
 def test_bessel_scaled_vectorized():
@@ -112,6 +121,30 @@ def test_ks_two_sample_sanity():
 
     ref = ks_2samp(x, y)
     assert abs(d - ref.statistic) < 1e-12
+
+
+def test_ks_tail_against_jacobi_theta():
+    """The asymptotic p-value against a 30-digit evaluation of the theta
+    form 1 - (sqrt(2 pi)/lam) sum_k exp(-(2k-1)^2 pi^2 / (8 lam^2))."""
+    n = 20000
+    x = np.arange(float(n))
+    # D = 1/n: lam = 0.005, where the tail is 1 to double precision and a
+    # truncated alternating series is far off
+    d, p = ks_two_sample(x, x + 0.5)
+    assert d == pytest.approx(1 / n, rel=1e-12)
+    assert p > 1.0 - 1e-12
+    mp = pytest.importorskip("mpmath")
+    # a shift of c - 1/2 gives D = c/n, so lam = c / sqrt(2n) = c / 200
+    for lam_target, c in ((0.005, 1), (0.05, 10), (0.3, 60), (0.8, 160), (1.5, 300)):
+        d, p = ks_two_sample(x, x + c - 0.5)
+        with mp.workdps(30):
+            lam = mp.sqrt(mp.mpf(n) / 2) * mp.mpf(d)
+            assert abs(lam - lam_target) < 1e-12
+            cdf = mp.sqrt(2 * mp.pi) / lam * mp.nsum(
+                lambda k: mp.exp(-((2 * k - 1) ** 2) * mp.pi ** 2 / (8 * lam ** 2)), [1, mp.inf]
+            )
+            ref = float(1 - cdf)
+        assert abs(p - ref) <= 1e-14, (lam_target, p, ref)
 
 
 def test_quantile_bins_cover_and_fill():
