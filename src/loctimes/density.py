@@ -10,8 +10,9 @@ it three ways:
 * ``density_quadrature`` -- the derivative-free form: a complex cofactor
   determinant integrated over angles with a periodic trapezoidal rule;
 * ``density_finite_difference`` -- apply the derivative operator to the
-  angular integral by Richardson-extrapolated central differences
-  (test-only; slowest and least accurate).
+  angular integral's flow series by Richardson-extrapolated mixed central
+  differences, the stencils of both steps evaluated as one batch
+  (test-only; least accurate).
 
 Accuracy degrades when some local time drops below ~1e-8 of the horizon; the
 evaluators are meant for the open simplex only.
@@ -275,42 +276,6 @@ def _series_degree(strength: float, tol: float, max_degree: int) -> int:
     return min(max(k + 2, 4), max_degree)
 
 
-def theta_integral_series(
-    B_tilde,
-    l,
-    tol: float = 1e-12,
-    max_degree: int = 80,
-    limit: int = FLOW_LIMIT,
-):
-    """Evaluate the angular integral of ``exp(sum B~[x,y] sqrt(l_x l_y)
-    e^{i(theta_x - theta_y)})`` as its balanced-flow power series.
-
-    Diagonal entries contribute a plain exponential factor and are split off
-    first.  Works for real or complex matrices.  Returns ``(value,
-    tail_bound)``, the bound being ``_factorial_tail`` of the strength.
-    """
-    B = np.asarray(B_tilde)
-    l = np.asarray(l, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = B.shape[0]
-    if B.shape != (n, n) or l.shape != (n,):
-        raise ValueError("B_tilde must be square and match l")
-    diag_factor = np.exp(np.sum(np.diag(B) * l))
-    off = B.copy()
-    np.fill_diagonal(off, 0.0)
-    sql = np.sqrt(l)
-    strength = float(np.sum(np.abs(off) * np.outer(sql, sql)))
-    K = _series_degree(strength, tol, max_degree)
-    tab = _flow_table(n, K, limit)
-    coeff = tab.monomial_coefficients(off, K)
-    value = coeff @ np.exp(tab.powers[: len(coeff)] @ np.log(l))
-    err = float(_factorial_tail(strength, K))
-    if not err <= tol * max(abs(value), 1.0) and K >= max_degree:
-        raise ConvergenceError(f"flow series not converged at degree {K}")
-    return diag_factor * value, abs(diag_factor) * err
-
-
 def _factorial_tail(s: np.ndarray, K: int, q: int = 0) -> np.ndarray:
     """sum_{k>K} k^q s^k / k!, elementwise in the strengths ``s``.
 
@@ -337,6 +302,117 @@ def _factorial_tail(s: np.ndarray, K: int, q: int = 0) -> np.ndarray:
             term = term * r
             total += term
             k += 1
+
+
+class _FlowSeries:
+    """exp(diag . l) sum_j det_j (prod_{x in Q_j} d/dl_x) theta_B(l) over the
+    pairs (Q_j, det_j) of ``terms``, where diag and B are the diagonal and
+    off-diagonal parts of the real or complex matrix ``A`` and theta_B is
+    the angular integral of B summed as its balanced-flow series.  The
+    derivative of a monomial prod l^(deg/2) in l_x is deg_x / (2 l_x) times
+    it; the flow coefficients are aggregated once per degree and cached.
+    """
+
+    def __init__(self, A: np.ndarray, terms: list, tol: float, max_degree: int = 80):
+        self.diag = np.diag(A).copy()
+        self.B = A - np.diag(self.diag)
+        self.terms = terms
+        self.tol = tol
+        self.max_degree = max_degree
+        self._weights: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+
+    def _monomial_weights(self, K: int):
+        """Halved site degrees of the monomials of degree <= K, and per
+        monomial and term, the aggregated coefficient times the derivative
+        weight prod_{x in Q} deg_x."""
+        if K not in self._weights:
+            tab = _flow_table(len(self.diag), K)
+            coeff = tab.monomial_coefficients(self.B, K)
+            powers = tab.powers[: len(coeff)]
+            W = np.empty((len(coeff), len(self.terms)), dtype=coeff.dtype)
+            for j, (Q, _) in enumerate(self.terms):
+                W[:, j] = coeff * np.prod(2.0 * powers[:, Q], axis=1)
+            self._weights[K] = (powers, W, tab.sizes(K)[0])
+        return self._weights[K]
+
+    def _strengths(self, L: np.ndarray) -> np.ndarray:
+        sql = np.sqrt(L)
+        return np.einsum("xy,ix,iy->i", np.abs(self.B), sql, sql)
+
+    def _evaluate(self, L: np.ndarray, strengths: np.ndarray, K: int):
+        """Values at the rows of ``L`` truncated at degree K, with each
+        row's factorial tail bound; raises when the degree is at its cap
+        and some row's bound exceeds tol times its value."""
+        powers, W, _ = self._monomial_weights(K)
+        # keep the (chunk, monomials) working array near 128 MB
+        chunk = max(32, int(16_000_000 // max(len(powers), 1)))
+        prefactor = np.exp(L @ self.diag)
+        # per row and term: det times the factors 1/(2 l_x) of the derivatives
+        scale = np.empty((len(L), len(self.terms)))
+        bound = np.zeros(len(L))
+        tails: dict[int, np.ndarray] = {}
+        for j, (Q, det) in enumerate(self.terms):
+            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
+            if len(Q) not in tails:
+                tails[len(Q)] = _factorial_tail(strengths, K, len(Q))
+            bound += np.abs(scale[:, j]) * tails[len(Q)]
+        out = np.empty(len(L), dtype=np.result_type(W, prefactor))
+        # one (chunk, monomials) buffer, reused by every block
+        buf = np.empty((min(chunk, len(L)), len(powers)))
+        for lo in range(0, len(L), chunk):
+            block = L[lo : lo + chunk]
+            P = np.matmul(np.log(block), powers.T, out=buf[: len(block)])
+            np.exp(P, out=P)
+            out[lo : lo + chunk] = np.einsum("ij,ij->i", P @ W, scale[lo : lo + chunk])
+        out *= prefactor
+        err = np.abs(prefactor) * bound
+        # written so that a nan error (overflowed tail) also raises
+        if K >= self.max_degree and not np.all(err <= self.tol * np.abs(out)):
+            raise ConvergenceError(f"flow series not converged at degree {K}")
+        return out, err
+
+    def _point(self, l):
+        L = np.asarray(l, dtype=float)[None, :]
+        strengths = self._strengths(L)
+        K = _series_degree(float(strengths[0]), self.tol, self.max_degree)
+        out, err = self._evaluate(L, strengths, K)
+        return out[0].item(), float(err[0]), K
+
+    def value(self, l: np.ndarray):
+        """Value at one local-time vector and its factorial tail bound."""
+        return self._point(l)[:2]
+
+    def values(self, L: np.ndarray):
+        """Vectorized evaluation over rows of ``L`` (each a local-time vector).
+
+        Returns the values and each row's factorial tail bound, truncated
+        at one degree chosen for the largest strength.  Raises
+        ``ConvergenceError`` when that degree reaches ``max_degree`` and
+        some row's bound exceeds ``tol`` times its value, the test
+        ``value`` applies.
+        """
+        L = np.asarray(L, dtype=float)
+        strengths = self._strengths(L)
+        K = _series_degree(float(strengths.max()), self.tol * 1e-2, self.max_degree)
+        return self._evaluate(L, strengths, K)
+
+
+def theta_integral_series(B_tilde, l, tol: float = 1e-12):
+    """Evaluate the angular integral of ``exp(sum B~[x,y] sqrt(l_x l_y)
+    e^{i(theta_x - theta_y)})`` as its balanced-flow power series.
+
+    Diagonal entries contribute a plain exponential factor and are split off
+    first.  Works for real or complex matrices.  Returns ``(value,
+    tail_bound)``, the bound being ``_factorial_tail`` of the strength.
+    """
+    B = np.asarray(B_tilde)
+    l = np.asarray(l, dtype=float)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = B.shape[0]
+    if B.shape != (n, n) or l.shape != (n,):
+        raise ValueError("B_tilde must be square and match l")
+    return _FlowSeries(B, [((), 1.0)], tol).value(l)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +458,13 @@ def _derivative_expansion(M: np.ndarray, a_pos: int, b_pos: int):
     return terms
 
 
-class SeriesEvaluator:
+class SeriesEvaluator(_FlowSeries):
     """Flow-series density evaluator, reusable across many local-time
     vectors on the same (generator, range) pair.
 
     ``integrand_matrix`` optionally replaces the jump-rate matrix inside the
     angular integral (the derivative operator always keeps the original
     rates); this is how the radius-conjugation identity is exercised.
-
-    The series is summed over monomials: the flow coefficients are
-    aggregated once per truncation degree and cached.
     """
 
     def __init__(
@@ -400,103 +473,17 @@ class SeriesEvaluator:
         spec: RangeSpec,
         tol: float = 1e-10,
         max_degree: int = 80,
-        flow_limit: int = FLOW_LIMIT,
         integrand_matrix=None,
     ):
-        idx = gen.indices(spec.range)
-        A = gen.rates[np.ix_(idx, idx)]
-        self.diag = np.diag(gen.rates)[idx]
-        self.B = A - np.diag(np.diag(A))
-        self.size = spec.size
-        self.tol = tol
-        self.max_degree = max_degree
-        self.flow_limit = flow_limit
+        A = gen.submatrix(spec.range)
+        B = A - np.diag(np.diag(A))
         a_pos = spec.range.index(spec.start)
         b_pos = spec.range.index(spec.end)
-        self.terms = [
-            (list(Q), det) for Q, det in _derivative_expansion(self.B, a_pos, b_pos) if det != 0.0
-        ]
-        Bint = self.B if integrand_matrix is None else integrand_matrix
-        self.Bint = np.asarray(Bint, dtype=float)
-        if self.Bint.shape != (self.size, self.size):
+        terms = [(list(Q), det) for Q, det in _derivative_expansion(B, a_pos, b_pos) if det != 0.0]
+        Bint = B if integrand_matrix is None else np.asarray(integrand_matrix, dtype=float)
+        if Bint.shape != (spec.size, spec.size):
             raise ValueError("integrand matrix shape mismatch")
-        self._weights: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-
-    def _monomial_weights(self, K: int):
-        """Halved site degrees of the monomials of degree <= K, and per
-        monomial and term of the derivative expansion, the aggregated
-        coefficient times the derivative weight prod_{x in Q} deg_x."""
-        if K not in self._weights:
-            tab = _flow_table(self.size, K, self.flow_limit)
-            coeff = tab.monomial_coefficients(self.Bint, K)
-            powers = tab.powers[: len(coeff)]
-            W = np.empty((len(coeff), len(self.terms)))
-            for j, (Q, _) in enumerate(self.terms):
-                W[:, j] = coeff * np.prod(2.0 * powers[:, Q], axis=1)
-            self._weights[K] = (powers, W, tab.sizes(K)[0])
-        return self._weights[K]
-
-    def _strengths(self, L: np.ndarray) -> np.ndarray:
-        sql = np.sqrt(L)
-        return np.einsum("xy,ix,iy->i", np.abs(self.Bint), sql, sql)
-
-    def _evaluate(self, L: np.ndarray, strengths: np.ndarray, K: int, chunk: int | None):
-        """Values at the rows of ``L`` truncated at degree K, with each
-        row's factorial tail bound; raises when the degree is at its cap
-        and some row's bound exceeds tol times its value."""
-        powers, W, _ = self._monomial_weights(K)
-        if chunk is None:
-            # keep the (chunk, monomials) working array near 128 MB
-            chunk = max(32, int(16_000_000 // max(len(powers), 1)))
-        prefactor = np.exp(L @ self.diag)
-        # per row and term: det times the factors 1/(2 l_x) of the derivatives
-        scale = np.empty((len(L), len(self.terms)))
-        bound = np.zeros(len(L))
-        tails: dict[int, np.ndarray] = {}
-        for j, (Q, det) in enumerate(self.terms):
-            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
-            if len(Q) not in tails:
-                tails[len(Q)] = _factorial_tail(strengths, K, len(Q))
-            bound += np.abs(scale[:, j]) * tails[len(Q)]
-        out = np.empty(len(L))
-        # one (chunk, monomials) buffer, reused by every block
-        buf = np.empty((min(chunk, len(L)), len(powers)))
-        for lo in range(0, len(L), chunk):
-            block = L[lo : lo + chunk]
-            P = np.matmul(np.log(block), powers.T, out=buf[: len(block)])
-            np.exp(P, out=P)
-            out[lo : lo + chunk] = np.einsum("ij,ij->i", P @ W, scale[lo : lo + chunk])
-        out *= prefactor
-        err = prefactor * bound
-        # written so that a nan error (overflowed tail) also raises
-        if K >= self.max_degree and not np.all(err <= self.tol * np.abs(out)):
-            raise ConvergenceError(f"flow series not converged at degree {K}")
-        return out, err
-
-    def _point(self, l):
-        L = np.asarray(l, dtype=float)[None, :]
-        strengths = self._strengths(L)
-        K = _series_degree(float(strengths[0]), self.tol, self.max_degree)
-        out, err = self._evaluate(L, strengths, K, None)
-        return float(out[0]), float(err[0]), K
-
-    def value(self, l: np.ndarray):
-        """Value at one local-time vector and its factorial tail bound."""
-        return self._point(l)[:2]
-
-    def values(self, L: np.ndarray, chunk: int | None = None):
-        """Vectorized evaluation over rows of ``L`` (each a local-time vector).
-
-        Returns the values and each row's factorial tail bound, truncated
-        at one degree chosen for the largest strength.  Raises
-        ``ConvergenceError`` when that degree reaches ``max_degree`` and
-        some row's bound exceeds ``tol`` times its value, the test
-        ``value`` applies.
-        """
-        L = np.asarray(L, dtype=float)
-        strengths = self._strengths(L)
-        K = _series_degree(float(strengths.max()), self.tol * 1e-2, self.max_degree)
-        return self._evaluate(L, strengths, K, chunk)
+        super().__init__(np.diag(np.diag(A)) + Bint, terms, tol, max_degree)
 
 
 def density_series(
@@ -541,8 +528,7 @@ def density_quadrature(
     if grid_points_per_angle < 4:
         raise ValueError("need at least 4 grid points per angle")
     lv = as_times(spec, l)
-    idx = gen.indices(spec.range)
-    A = gen.rates[np.ix_(idx, idx)]
+    A = gen.submatrix(spec.range)
     B = A - np.diag(np.diag(A))
     n = spec.size
     a_pos = spec.range.index(spec.start)
@@ -609,8 +595,8 @@ def density_finite_difference(
     tol: float = 1e-10,
 ) -> DensityResult:
     """Apply the cofactor-determinant operator (full rates, including the
-    diagonal) to the angular integral by mixed central differences, with
-    Richardson extrapolation over step halving.
+    diagonal) to the angular integral's flow series by mixed central
+    differences, with Richardson extrapolation over step halving.
 
     The default step grows with the differentiation order: high-order
     mixed stencils divide by step^order, so too small a step drowns the
@@ -623,32 +609,19 @@ def density_finite_difference(
         raise ValueError("step must be positive")
     if step > lv.min() / 4:
         raise ValueError(f"step {step} too large relative to min local time {lv.min()}")
-    idx = gen.indices(spec.range)
-    A = gen.rates[np.ix_(idx, idx)]
-    a_pos = spec.range.index(spec.start)
-    b_pos = spec.range.index(spec.end)
-    terms = _derivative_expansion(A, a_pos, b_pos)
-
-    def theta(point: np.ndarray) -> float:
-        val, _ = theta_integral_series(A, point, tol=tol)
-        return float(np.real(val))
-
-    def mixed(Q, h: float) -> float:
-        if not Q:
-            return theta(lv)
-        total = 0.0
-        for signs in itertools.product((-1.0, 1.0), repeat=len(Q)):
-            point = lv.copy()
-            for s, x in zip(signs, Q):
-                point[x] += s * h / 2
-            total += np.prod(signs) * theta(point)
-        return total / h ** len(Q)
-
-    def assemble(h: float) -> float:
-        return sum(det * mixed(Q, h) for Q, det in terms if det != 0.0)
-
-    coarse = assemble(step)
-    fine = assemble(step / 2)
+    A = gen.submatrix(spec.range)
+    terms = _derivative_expansion(A, spec.range.index(spec.start), spec.range.index(spec.end))
+    # both steps' stencils as one batch, each row weighted into its step's sum
+    rows, weights = [], []
+    for h in (step, step / 2):
+        for Q, det in terms:
+            for signs in itertools.product((-1.0, 1.0), repeat=len(Q)):
+                row = lv.copy()
+                row[list(Q)] += np.multiply(signs, h / 2)
+                rows.append(row)
+                weights.append(det * np.prod(signs) / h ** len(Q))
+    theta, _ = _FlowSeries(A, [((), 1.0)], tol).values(np.array(rows))
+    coarse, fine = (np.array(weights) * theta).reshape(2, -1).sum(axis=1)
     value = (4.0 * fine - coarse) / 3.0
     err = abs(fine - coarse) / 3.0 + tol * max(abs(value), 1.0)
     return DensityResult(
@@ -663,11 +636,7 @@ def local_time_density(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) ->
     """Evaluate the density by the preferred route: the flow series for
     small or weakly coupled ranges, the angular quadrature otherwise."""
     lv = as_times(spec, l)
-    idx = gen.indices(spec.range)
-    B = gen.off_diagonal()[np.ix_(idx, idx)]
-    sql = np.sqrt(lv)
-    strength = float(np.sum(np.abs(B) * np.outer(sql, sql)))
-    if spec.size <= 6 or strength < 10.0:
+    if spec.size <= 6 or SeriesEvaluator(gen, spec, tol=tol)._strengths(lv[None, :])[0] < 10.0:
         try:
             return density_series(gen, spec, lv, tol=tol)
         except (ConvergenceError, CapacityError):
@@ -686,8 +655,8 @@ def gauge_invariance_check(gen: Generator, spec: RangeSpec, l, r, tol: float = 1
     if np.any(r <= 0):
         raise ValueError("radius vector must be strictly positive")
     lv = as_times(spec, l)
-    idx = gen.indices(spec.range)
-    B = gen.off_diagonal()[np.ix_(idx, idx)]
+    A = gen.submatrix(spec.range)
+    B = A - np.diag(np.diag(A))
     conj = (r[:, None] * B) / r[None, :]
     base = density_series(gen, spec, lv, tol=tol)
     twisted = density_series(gen, spec, lv, tol=tol, integrand_matrix=conj)

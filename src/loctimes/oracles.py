@@ -31,6 +31,12 @@ __all__ = [
     "simplex_integrate",
 ]
 
+MAX_RANGE = 20  # inclusion-exclusion sums 2^(n-2) killed probabilities
+# polar quadrature of the Gaussian identity at sizes 1 and 2
+RADIAL_PANELS = 10
+RADIAL_NODES = 24
+N_ANGLES = 256
+
 
 # ---------------------------------------------------------------------------
 # matrix exponential
@@ -76,7 +82,7 @@ def killed_prob(
     return float(E[S.index(a), S.index(b)])
 
 
-def range_exact_prob(gen: Generator, spec: RangeSpec, T: float, max_range: int = 20) -> float:
+def range_exact_prob(gen: Generator, spec: RangeSpec, T: float) -> float:
     """Probability of ending at ``spec.end`` at time T with range exactly
     ``spec.range``, by inclusion-exclusion of killed probabilities over the
     sub-range lattice.
@@ -84,7 +90,7 @@ def range_exact_prob(gen: Generator, spec: RangeSpec, T: float, max_range: int =
     Only subsets containing both endpoints contribute; the rest vanish.
     """
     R = spec.range
-    if len(R) > max_range:
+    if len(R) > MAX_RANGE:
         raise ValueError(f"range of size {len(R)} exceeds the 2^n capacity cap")
     a, b = spec.start, spec.end
     others = [s for s in R if s not in (a, b)]
@@ -158,14 +164,7 @@ def resolvent_check(
 # complex Gaussian determinant identity
 
 
-def gaussian_identity_check(
-    M,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    radial_panels: int = 10,
-    radial_nodes: int = 24,
-    n_angles: int = 256,
-) -> float:
+def gaussian_identity_check(M, n_samples: int = 200_000, seed: int = 0) -> float:
     """Relative deviation of the Gaussian integral of exp(-<phi, M conj(phi)>)
     from 1/det(M).
 
@@ -184,17 +183,17 @@ def gaussian_identity_check(
         raise ValueError("Hermitian part of M must be positive definite")
     target = 1.0 / np.linalg.det(M)
     if n <= 2:
-        value = _gaussian_quadrature(M, float(eigs.min()), radial_panels, radial_nodes, n_angles)
+        value = _gaussian_quadrature(M, float(eigs.min()))
     else:
         value = _gaussian_mc(M, H, n_samples, seed)
     return float(abs(value - target) / abs(target))
 
 
-def _gaussian_quadrature(M, lam_min, panels, nodes_per_panel, n_angles):
+def _gaussian_quadrature(M, lam_min):
     n = M.shape[0]
     U = np.sqrt(50.0 / lam_min)
-    gl_nodes, gl_weights = leggauss(nodes_per_panel)
-    edges = np.linspace(0.0, U, panels + 1)
+    gl_nodes, gl_weights = leggauss(RADIAL_NODES)
+    edges = np.linspace(0.0, U, RADIAL_PANELS + 1)
     u_nodes, u_weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         u_nodes.append(0.5 * (hi - lo) * gl_nodes + 0.5 * (hi + lo))
@@ -206,31 +205,25 @@ def _gaussian_quadrature(M, lam_min, panels, nodes_per_panel, n_angles):
         vals = np.exp(-M[0, 0] * u ** 2) * 2 * u
         return np.sum(w * vals)
     # n == 2: angles enter through the difference only
-    dth = np.arange(n_angles) * (2 * np.pi / n_angles)
+    dth = np.arange(N_ANGLES) * (2 * np.pi / N_ANGLES)
     cross = M[0, 1] * np.exp(1j * dth) + M[1, 0] * np.exp(-1j * dth)
     U1, U2 = np.meshgrid(u, u, indexing="ij")
     W = np.outer(w, w) * 4 * U1 * U2
     total = 0.0 + 0.0j
     for c in cross:
         total += np.sum(W * np.exp(-(M[0, 0] * U1 ** 2 + M[1, 1] * U2 ** 2 + c * U1 * U2)))
-    return total / n_angles
+    return total / N_ANGLES
+
+
+def _real_form(H):
+    """The real 2n x 2n form G with [u;v]^T G [u;v] = <phi, H conj(phi)> for
+    phi = u + iv and Hermitian H."""
+    return np.block([[H.real, H.imag], [-H.imag, H.real]])
 
 
 def _gaussian_mc(M, H, n_samples, seed):
     n = M.shape[0]
-    # real 2n x 2n form G with [u;v]^T G [u;v] = <phi, H conj(phi)>
-    G = np.zeros((2 * n, 2 * n))
-    basis = np.eye(2 * n)
-
-    def qform(z):
-        phi = z[:n] + 1j * z[n:]
-        return float(np.real(phi @ (H @ phi.conj())))
-
-    for i in range(2 * n):
-        for j in range(2 * n):
-            G[i, j] = 0.5 * (
-                qform(basis[i] + basis[j]) - qform(basis[i]) - qform(basis[j])
-            )
+    G = _real_form(H)
     L = np.linalg.cholesky(G)
     rng = np.random.Generator(np.random.Philox(key=seed))
     xi = rng.standard_normal((n_samples, 2 * n))

@@ -164,16 +164,19 @@ def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_
     """Lockstep simulation of n paths from ``start_idx``.
 
     A path stops when its clock reaches ``limit``: the elapsed time, or with
-    ``site_idx`` the local time there.  With a site, every other state must
-    have a positive exit rate.  Paths still running after ``max_jumps``
-    jumps are censored.  Returns local times, final state indices and
-    censored flags.  The local times have one column per state in
-    ``record``, in that order, and a last column for the time spent at all
-    other states.
+    ``site_idx`` the local time there.  With a site, a path absorbed at
+    another state would never stop and raises ``SimulationError``.  Paths
+    still running after ``max_jumps`` jumps are censored.  Returns local
+    times, final state indices and censored flags.  The local times have
+    one column per state in ``record``, in that order, and a last column
+    for the time spent at all other states.
     """
     exit_rates, targets, cum = jump_table
     n_states = len(exit_rates)
     ticks = np.ones(n_states, dtype=bool) if site_idx is None else np.arange(n_states) == site_idx
+    # absorbing states off the site are checked for per step only if any
+    # exist; the Ray-Knight walk's chains have none
+    traps = np.any((exit_rates == 0) & ~ticks)
     column = np.full(n_states, len(record))
     column[record] = np.arange(len(record))
     state = np.full(n, start_idx, dtype=np.int64)
@@ -184,10 +187,14 @@ def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_
     while len(active) and jumps < max_jumps:
         s = state[active]
         rate = exit_rates[s]
+        tick = ticks[s]
+        if traps:
+            stuck = s[~tick & (rate == 0)]
+            if len(stuck):
+                raise SimulationError(f"absorbed at state index {stuck[0]} before reaching level")
         hold = np.where(
             rate > 0, rng.exponential(1.0, size=len(active)) / np.maximum(rate, 1e-300), np.inf
         )
-        tick = ticks[s]
         left = remaining[active]
         stop = tick & (hold >= left)
         dt = np.where(stop, left, hold)

@@ -390,6 +390,22 @@ def test_theta_monomial_sum_matches_flow_sum():
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
+def test_theta_complex_diagonal():
+    # a complex diagonal is the plain factor exp(diag . l); the tail bound
+    # scales by its modulus and stays real
+    rng = np.random.default_rng(47)
+    M = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    l = np.array([0.4, 0.7, 0.5])
+    value, err = theta_integral_series(M, l)
+    assert isinstance(err, float) and err >= 0.0
+    off = M - np.diag(np.diag(M))
+    sql = np.sqrt(l)
+    K = _series_degree(float(np.sum(np.abs(off) * np.outer(sql, sql))), 1e-12, 80)
+    (expected,) = flow_sums(off, l, K, [()])
+    expected *= np.exp(np.diag(M) @ l)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
 @pytest.mark.parametrize("n, start, end", [(3, 0, 1), (4, 1, 1)])
 def test_series_monomial_sum_matches_flow_sum(n, start, end):
     rng = np.random.default_rng(31 + n)

@@ -7,6 +7,7 @@ from loctimes.chain import RangeSpec, validate_generator
 from loctimes.density import SeriesEvaluator
 from loctimes.oracles import (
     SimplexChart,
+    _real_form,
     gaussian_identity_check,
     killed_prob,
     matrix_exponential,
@@ -82,6 +83,13 @@ def test_range_exact_singleton():
     assert abs(range_exact_prob(THREE_STATE, spec, 1.0) - np.exp(-1.0)) < 1e-13
 
 
+def test_range_exact_size_cap():
+    # the cap raises before any of the 2^19 killed probabilities is computed
+    ring = np.roll(np.eye(21), 1, axis=1) - np.eye(21)
+    with pytest.raises(ValueError, match="exceeds the 2\\^n capacity cap"):
+        range_exact_prob(validate_generator(ring), RangeSpec(tuple(range(21)), 0, 1), 1.0)
+
+
 def test_inclusion_exclusion_telescopes():
     # summing exact-range probabilities over sub-ranges recovers the killed
     # semigroup entry
@@ -133,6 +141,23 @@ def test_gaussian_identity_mc_three():
     S = 0.2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     M = np.eye(3) * 2 + 0.4 * K + S + 0.1j * S
     assert gaussian_identity_check(M, n_samples=200_000) < 1e-2
+
+
+def test_gaussian_real_form_matches_polarization():
+    # G[i, j] = (q(e_i + e_j) - q(e_i) - q(e_j)) / 2 for the real quadratic
+    # form q(u, v) = <phi, H conj(phi)>, phi = u + iv
+    rng = np.random.default_rng(43)
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    H = 0.5 * (A + A.conj().T)
+
+    def q(z):
+        phi = z[:3] + 1j * z[3:]
+        return np.real(phi @ (H @ phi.conj()))
+
+    e = np.eye(6)
+    polar = np.array([[0.5 * (q(e[i] + e[j]) - q(e[i]) - q(e[j])) for j in range(6)]
+                      for i in range(6)])
+    assert np.max(np.abs(_real_form(H) - polar)) < 1e-14
 
 
 def test_gaussian_identity_rejects_indefinite():

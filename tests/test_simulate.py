@@ -7,6 +7,7 @@ from loctimes.simulate import (
     SimulationError,
     dump_path_line,
     mc_event_functional,
+    run_lockstep,
     sample_path,
     sample_until_inverse_local_time,
 )
@@ -120,6 +121,10 @@ def test_inverse_local_time_absorption_error():
     rng = np.random.default_rng(7)
     with pytest.raises(SimulationError):
         sample_until_inverse_local_time(gen, 0, 0, 100.0, rng)
+    # the lockstep engine's site mode too: a path absorbed at 1 neither
+    # reaches the level nor jumps back to 0
+    with pytest.raises(SimulationError, match="absorbed at state index 1"):
+        run_lockstep(gen, 0, 3, 1, 1.0, (0, 1), lambda *a: a, site=0, max_jumps=50)
 
 
 def test_seed_determinism_and_worker_invariance():
