@@ -7,11 +7,9 @@ from .chain import (
     Generator,
     GeneratorError,
     RangeSpec,
-    RestrictedGenerator,
     box_srw,
     jump_rate_bound,
     load_generator,
-    restrict,
     validate_generator,
 )
 from .density import (
@@ -54,10 +52,7 @@ from .rayknight import (
 )
 from .simulate import (
     McEstimate,
-    PathRecord,
     mc_event_functional,
-    sample_path,
-    sample_until_inverse_local_time,
 )
 
 __version__ = "0.1.0"

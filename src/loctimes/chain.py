@@ -1,4 +1,4 @@
-"""Generators (Q-matrices), ranges and restricted/killed chains.
+"""Generators (Q-matrices) and ranges.
 
 A generator is a real square matrix with nonnegative off-diagonal rates and
 zero row sums.  State labels are arbitrary hashables; internally everything
@@ -8,7 +8,7 @@ is mapped to contiguous indices, and all outputs report the original labels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -17,10 +17,9 @@ ROW_SUM_RTOL = 1e-12
 
 __all__ = [
     "Generator",
+    "GeneratorError",
     "RangeSpec",
-    "RestrictedGenerator",
     "validate_generator",
-    "restrict",
     "jump_rate_bound",
     "box_srw",
     "load_generator",
@@ -102,28 +101,6 @@ class RangeSpec:
         return len(self.range)
 
 
-@dataclass(frozen=True)
-class RestrictedGenerator:
-    """A chain confined to a sub-range plus the diagonal killing potential.
-
-    ``inner`` is conservative on the sub-range; ``killing[x]`` collects the
-    rates out of the sub-range.  ``inner.rates - diag(killing)`` reproduces
-    the original rates on the sub-range exactly.
-    """
-
-    inner: Generator
-    killing: np.ndarray
-
-    def __post_init__(self):
-        killing = np.array(self.killing, dtype=float)
-        killing.setflags(write=False)
-        object.__setattr__(self, "killing", killing)
-
-    @property
-    def states(self) -> tuple[Hashable, ...]:
-        return self.inner.states
-
-
 def validate_generator(rates, states: Sequence[Hashable] | None = None) -> Generator:
     """Validate a rate matrix and wrap it as a :class:`Generator`.
 
@@ -162,28 +139,6 @@ def validate_generator(rates, states: Sequence[Hashable] | None = None) -> Gener
     return Generator(states=states, rates=fixed)
 
 
-def restrict(gen: Generator, spec: RangeSpec | Sequence[Hashable]) -> RestrictedGenerator:
-    """Split the generator on a sub-range into a conservative inner part and
-    a diagonal killing potential.
-
-    The inner chain follows the original rates within the sub-range and
-    suppresses every step that would leave it; the killing entry at ``x`` is
-    the total rate out of the sub-range from ``x``.
-    """
-    sub = spec.range if isinstance(spec, RangeSpec) else tuple(spec)
-    missing = [s for s in sub if s not in gen._index]
-    if missing:
-        raise ValueError(f"range states not in generator: {missing}")
-    idx = gen.indices(sub)
-    inside = np.zeros(gen.n_states, dtype=bool)
-    inside[idx] = True
-    off = gen.off_diagonal()
-    killing = off[idx][:, ~inside].sum(axis=1)
-    inner = off[np.ix_(idx, idx)]
-    np.fill_diagonal(inner, -inner.sum(axis=1) + np.diag(inner))
-    return RestrictedGenerator(inner=Generator(states=sub, rates=inner), killing=killing)
-
-
 def jump_rate_bound(gen: Generator, range_states: Sequence[Hashable]) -> float:
     """Largest absolute row or column sum of the jump rates within the
     range, floored at 1.
@@ -194,9 +149,8 @@ def jump_rate_bound(gen: Generator, range_states: Sequence[Hashable]) -> float:
     sub = tuple(range_states)
     if not sub:
         raise ValueError("range must be nonempty")
-    idx = gen.indices(sub)
-    B = gen.off_diagonal()[np.ix_(idx, idx)]
-    absB = np.abs(B)
+    absB = np.abs(gen.submatrix(sub))
+    np.fill_diagonal(absB, 0.0)
     return float(max(absB.sum(axis=1).max(), absB.sum(axis=0).max(), 1.0))
 
 

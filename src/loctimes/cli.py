@@ -39,6 +39,7 @@ from .density import (
     SeriesEvaluator,
 )
 from .ldp import (
+    _is_symmetric,
     chi_discrete,
     density_bound,
     ldp_upper_bound_rhs,
@@ -273,8 +274,7 @@ def cmd_rate_function(cfg, args):
     mu = np.array([float(x) for x in cfg["mu"].split(",")])
     sites = gen.states if "sites" not in cfg else tuple(_state(s) for s in cfg["sites"].split(","))
     res = rate_function_general(gen, mu, sites, seed=args.seed)
-    A = gen.submatrix(sites)
-    symmetric = bool(np.allclose(A, A.T, atol=1e-12, rtol=0))
+    symmetric = _is_symmetric(gen.submatrix(sites))
     sym_value = rate_function_symmetric(gen, mu, sites) if symmetric else ""
     table = Table(["value", "symmetric_form", "restarts_agree", "spread", "tilt", "seed"])
     table.add(value=res.value, symmetric_form=sym_value,

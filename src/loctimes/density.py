@@ -460,42 +460,21 @@ def _derivative_expansion(M: np.ndarray, a_pos: int, b_pos: int):
 
 class SeriesEvaluator(_FlowSeries):
     """Flow-series density evaluator, reusable across many local-time
-    vectors on the same (generator, range) pair.
+    vectors on the same (generator, range) pair."""
 
-    ``integrand_matrix`` optionally replaces the jump-rate matrix inside the
-    angular integral (the derivative operator always keeps the original
-    rates); this is how the radius-conjugation identity is exercised.
-    """
-
-    def __init__(
-        self,
-        gen: Generator,
-        spec: RangeSpec,
-        tol: float = 1e-10,
-        max_degree: int = 80,
-        integrand_matrix=None,
-    ):
+    def __init__(self, gen: Generator, spec: RangeSpec, tol: float = 1e-10, max_degree: int = 80):
         A = gen.submatrix(spec.range)
         B = A - np.diag(np.diag(A))
         a_pos = spec.range.index(spec.start)
         b_pos = spec.range.index(spec.end)
         terms = [(list(Q), det) for Q, det in _derivative_expansion(B, a_pos, b_pos) if det != 0.0]
-        Bint = B if integrand_matrix is None else np.asarray(integrand_matrix, dtype=float)
-        if Bint.shape != (spec.size, spec.size):
-            raise ValueError("integrand matrix shape mismatch")
-        super().__init__(np.diag(np.diag(A)) + Bint, terms, tol, max_degree)
+        super().__init__(A, terms, tol, max_degree)
 
 
-def density_series(
-    gen: Generator,
-    spec: RangeSpec,
-    l,
-    tol: float = 1e-10,
-    integrand_matrix=None,
-) -> DensityResult:
+def density_series(gen: Generator, spec: RangeSpec, l, tol: float = 1e-10) -> DensityResult:
     """Flow-series evaluation of the local-time density."""
     lv = as_times(spec, l)
-    ev = SeriesEvaluator(gen, spec, tol=tol, integrand_matrix=integrand_matrix)
+    ev = SeriesEvaluator(gen, spec, tol=tol)
     value, err, K = ev._point(lv)
     powers, _, flows = ev._monomial_weights(K)
     return DensityResult(
@@ -519,9 +498,10 @@ def density_quadrature(
     oscillatory exponential, integrated by a periodic trapezoidal rule with
     the starting site's angle pinned to zero.
 
-    Node counts double until two successive grids agree, each doubling
-    evaluating only the nodes it adds; the surviving imaginary part is
-    folded into the error estimate.  A grid of more than
+    Node counts double until two successive grids agree to ``tol``
+    relative to the finer one, each doubling evaluating only the nodes it
+    adds; the surviving imaginary part is folded into the error estimate.
+    A grid of more than
     ``QUADRATURE_NODE_LIMIT`` nodes raises ``ConvergenceError`` before
     anything is allocated.
     """
@@ -574,7 +554,7 @@ def density_quadrature(
         cur = S / N ** m
         if prev is not None:
             diff = abs(cur - prev)
-            if diff < tol * max(abs(cur), 1.0) or N >= max_points_per_angle:
+            if diff <= tol * abs(cur) or N >= max_points_per_angle:
                 break
         prev = cur
         N *= 2
@@ -648,16 +628,17 @@ def gauge_invariance_check(gen: Generator, spec: RangeSpec, l, r, tol: float = 1
     """Deviation of the density when the integrand's jump rates are
     conjugated by a positive radius vector; exactly zero in theory.
 
-    Both series truncate at the same degree with termwise-equal
-    coefficients, so the deviation measures rounding, not truncation,
-    at any tolerance."""
+    The conjugated series is truncated at the degree the density itself
+    needs.  Every balanced flow's coefficient is invariant under the
+    conjugation, so the two truncations agree termwise and the deviation
+    measures rounding, not truncation, at any tolerance."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius vector must be strictly positive")
     lv = as_times(spec, l)
-    A = gen.submatrix(spec.range)
-    B = A - np.diag(np.diag(A))
-    conj = (r[:, None] * B) / r[None, :]
-    base = density_series(gen, spec, lv, tol=tol)
-    twisted = density_series(gen, spec, lv, tol=tol, integrand_matrix=conj)
-    return abs(base.value - twisted.value)
+    base = SeriesEvaluator(gen, spec, tol=tol)
+    value, _, K = base._point(lv)
+    conj = (r[:, None] * base.B) / r[None, :]
+    twisted = _FlowSeries(np.diag(base.diag) + conj, base.terms, tol)
+    L = lv[None, :]
+    return float(abs(value - twisted._evaluate(L, base._strengths(L), K)[0][0]))

@@ -82,11 +82,15 @@ def _measure_on(gen: Generator, mu, sites=None):
     return sites, w
 
 
+def _is_symmetric(A: np.ndarray) -> bool:
+    return bool(np.allclose(A, A.T, atol=SYMMETRY_ATOL, rtol=0))
+
+
 def rate_function_symmetric(gen: Generator, mu, sites=None) -> float:
     """Dirichlet-form value <sqrt(mu), (-A) sqrt(mu)> for symmetric A."""
     sites, w = _measure_on(gen, mu, sites)
     A = gen.submatrix(sites)
-    if not np.allclose(A, A.T, atol=SYMMETRY_ATOL, rtol=0):
+    if not _is_symmetric(A):
         raise ValueError("generator is not symmetric; use rate_function_general")
     root = np.sqrt(w)
     return float(root @ (-A) @ root)
@@ -142,10 +146,6 @@ def rate_function_general(
         restarts_agree=spread <= max(tol * 100, 1e-8),
         spread=spread,
     )
-
-
-def _is_symmetric(A: np.ndarray) -> bool:
-    return bool(np.allclose(A, A.T, atol=SYMMETRY_ATOL, rtol=0))
 
 
 def density_bound(gen: Generator, spec: RangeSpec, l, tilt: TiltFunction | None = None) -> float:

@@ -22,32 +22,16 @@ from .chain import Generator, RangeSpec
 CHUNK_SIZE = 65536
 
 __all__ = [
-    "PathRecord",
     "McEstimate",
-    "sample_path",
-    "sample_until_inverse_local_time",
+    "SimulationError",
+    "run_lockstep",
     "mc_event_functional",
-    "dump_path_line",
 ]
 
 
 class SimulationError(RuntimeError):
-    """Raised when a simulation hits its event cap."""
-
-
-@dataclass
-class PathRecord:
-    """One simulated trajectory up to the horizon.
-
-    The last holding interval is truncated at the horizon, so the local
-    times always sum to the horizon exactly.
-    """
-
-    jump_times: np.ndarray
-    states: list
-    terminal_state: Hashable
-    local_times: dict
-    horizon: float
+    """Raised when a path is absorbed off the site before its local time
+    there reaches the level."""
 
 
 @dataclass
@@ -58,79 +42,6 @@ class McEstimate:
     seed: int
     n_accepted: int = 0
     zero_accepted: bool = False
-
-
-def sample_path(gen: Generator, start: Hashable, T: float, rng: np.random.Generator) -> PathRecord:
-    """Simulate one path of the chain on [0, T] from ``start``.
-
-    Absorbing states (zero exit rate) hold until the horizon.
-    """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    return _sample(gen, start, rng, T)
-
-
-def sample_until_inverse_local_time(
-    gen: Generator,
-    start: Hashable,
-    b: Hashable,
-    h: float,
-    rng: np.random.Generator,
-    max_events: int = 10_000_000,
-) -> PathRecord:
-    """Simulate until the accumulated local time at ``b`` reaches ``h``.
-
-    The stop is resolved analytically inside the holding interval at b, so
-    the recorded local time at b equals h exactly.
-    """
-    if h <= 0:
-        raise ValueError("level must be positive")
-    return _sample(gen, start, rng, h, site=b, max_events=max_events)
-
-
-def _sample(gen, start, rng, limit, site=None, max_events=np.inf) -> PathRecord:
-    """One path from ``start`` until its clock reaches ``limit``.
-
-    The clock is the elapsed time, or with ``site`` the local time there;
-    the last holding interval is cut where the clock reaches the limit.
-    Draws an exponential hold, then a categorical jump, per event.
-    """
-    exit_rates = gen.exit_rates()
-    off = gen.off_diagonal()
-    i = gen.index(start)
-    ib = None if site is None else gen.index(site)
-    t = clock = 0.0
-    jump_times = []
-    states = [start]
-    local = {}
-    events = 0
-    while events < max_events:
-        events += 1
-        rate = exit_rates[i]
-        hold = rng.exponential(1.0 / rate) if rate > 0 else np.inf
-        state = gen.states[i]
-        ticks = ib is None or i == ib
-        if ticks and clock + hold >= limit:
-            residual = limit - clock
-            local[state] = local.get(state, 0.0) + residual
-            return PathRecord(
-                jump_times=np.array(jump_times),
-                states=states,
-                terminal_state=state,
-                local_times=local,
-                horizon=limit if ib is None else t + residual,
-            )
-        if ticks:
-            clock += hold
-        local[state] = local.get(state, 0.0) + hold
-        t += hold
-        if rate == 0:
-            raise SimulationError(f"absorbed at {state!r} before reaching level")
-        jump_times.append(t)
-        p = off[i] / rate
-        i = rng.choice(len(p), p=p)
-        states.append(gen.states[i])
-    raise SimulationError(f"event cap {max_events} reached before local time {limit} at {site!r}")
 
 
 def _jump_table(gen: Generator):
@@ -295,10 +206,3 @@ def mc_event_functional(
         zero_accepted=(n_acc == 0),
     )
 
-
-def dump_path_line(record: PathRecord, seed: int) -> str:
-    """Serialize one path as a single text line for external analysis."""
-    jumps = " ".join(f"{t:.12g}" for t in record.jump_times)
-    states = " ".join(str(s) for s in record.states)
-    local = " ".join(f"{s}:{v:.12g}" for s, v in sorted(record.local_times.items(), key=str))
-    return f"seed={seed}\tjumps={jumps}\tstates={states}\tlocal={local}"

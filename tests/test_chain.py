@@ -3,11 +3,9 @@ import pytest
 
 from loctimes.chain import (
     GeneratorError,
-    RangeSpec,
     box_srw,
     jump_rate_bound,
     load_generator,
-    restrict,
     validate_generator,
 )
 
@@ -36,53 +34,6 @@ def test_negative_off_diagonal_rejected():
 def test_too_small_rejected():
     with pytest.raises(GeneratorError):
         validate_generator([[0.0]])
-
-
-def test_restrict_full_range_no_killing():
-    gen = validate_generator([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-    res = restrict(gen, (0, 1, 2))
-    assert np.all(res.killing == 0.0)
-    assert np.allclose(res.inner.rates, gen.rates)
-
-
-def test_restrict_srw_interior():
-    # SRW on {0..4}, rate 1 per neighbor; restricting to {1,2,3} kills at
-    # rate 1 from each end of the sub-range
-    n = 5
-    A = np.zeros((n, n))
-    for i in range(n):
-        if i > 0:
-            A[i, i - 1] = 1.0
-        if i < n - 1:
-            A[i, i + 1] = 1.0
-    np.fill_diagonal(A, -A.sum(axis=1))
-    gen = validate_generator(A)
-    res = restrict(gen, (1, 2, 3))
-    assert np.allclose(res.killing, [1.0, 0.0, 1.0])
-    # reconstruction: inner - diag(killing) equals the original block
-    rebuilt = res.inner.rates - np.diag(res.killing)
-    assert np.array_equal(rebuilt, gen.rates[1:4, 1:4])
-
-
-def test_restrict_singleton():
-    gen = validate_generator([[-1, 1], [1, -1]])
-    res = restrict(gen, (0,))
-    assert res.inner.rates.shape == (1, 1)
-    assert res.inner.rates[0, 0] == 0.0
-    assert res.killing[0] == 1.0
-
-
-def test_restrict_composition_consistency():
-    rng = np.random.default_rng(0)
-    B = rng.uniform(0, 1, size=(5, 5))
-    np.fill_diagonal(B, 0)
-    A = B.copy()
-    np.fill_diagonal(A, -B.sum(axis=1))
-    gen = validate_generator(A)
-    once = restrict(gen, (0, 1, 2))
-    twice = restrict(once.inner, (0, 1))
-    direct = restrict(gen, (0, 1))
-    assert np.array_equal(twice.inner.rates, direct.inner.rates)
 
 
 def test_jump_rate_bound_examples():

@@ -4,6 +4,7 @@ from math import factorial
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from loctimes.chain import RangeSpec, validate_generator
 from loctimes.density import (
@@ -477,3 +478,35 @@ def test_quadrature_node_limit_raises_before_allocating():
     spec = RangeSpec((0, 1, 2, 3), 0, 1)
     with pytest.raises(ConvergenceError, match="quadrature not converged"):
         density_quadrature(gen, spec, [0.25] * 4, grid_points_per_angle=512)
+
+
+def test_quadrature_relative_stop_matches_bessel():
+    # the density is about 1.65e-22 here, so a stopping test that is
+    # absolute below 1 accepts a grid 1.4% off
+    l = (20.5148, 129.4852)
+    x = 2.0 * np.sqrt(l[0] * l[1])
+    exact = ive(0, x) * np.exp(x - sum(l))
+    res = density_quadrature(TWO_STATE, SPEC_AB, l)
+    assert abs(res.value - exact) <= 1e-9 * exact
+
+
+def test_quadrature_unreachable_end_is_zero():
+    # nothing in the range jumps to 3, so every node's determinant is 0
+    gen = validate_generator([[-1, 1, 0, 0], [1, -2, 1, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
+    res = density_quadrature(gen, RangeSpec((0, 1, 2, 3), 0, 3), [0.25] * 4)
+    assert res.value == 0.0
+    assert res.meta["nodes_per_angle"] == 32
+
+
+def test_gauge_check_truncates_at_the_density_degree():
+    # the conjugation raises the integrand's |B| strength from 1.32 to
+    # 5.17; sized by it, the twisted series needs a table past FLOW_LIMIT
+    B = np.random.default_rng(0).uniform(0.05, 1.0, (5, 5))
+    np.fill_diagonal(B, 0.0)
+    np.fill_diagonal(B, -B.sum(axis=1))
+    gen = validate_generator(B)
+    spec = RangeSpec((0, 1, 2, 3), 0, 3)
+    l = [0.25] * 4
+    base = density_series(gen, spec, l, tol=1e-12).value
+    dev = gauge_invariance_check(gen, spec, l, np.exp([0.0, 1.5, 0.0, -1.5]), tol=1e-12)
+    assert dev <= 1e-10 * abs(base)

@@ -3,16 +3,14 @@ import pytest
 
 from loctimes.chain import RangeSpec, validate_generator
 from loctimes.oracles import killed_prob, matrix_exponential
-from loctimes.simulate import (
-    SimulationError,
-    dump_path_line,
-    mc_event_functional,
-    run_lockstep,
-    sample_path,
-    sample_until_inverse_local_time,
-)
+from loctimes.simulate import SimulationError, mc_event_functional, run_lockstep
 
 TWO_STATE = validate_generator([[-1, 1], [1, -1]])
+
+
+def arrays(local, state, censored):
+    return local, state, censored
+
 
 # E[time spent at the start site of the symmetric two-state chain up to T]:
 # occupation integral of the semigroup diagonal
@@ -21,20 +19,21 @@ def expected_local_time_at_start(T):
 
 
 def test_local_times_partition_horizon():
-    rng = np.random.default_rng(0)
     gen = validate_generator([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-    for _ in range(20):
-        rec = sample_path(gen, 0, 3.0, rng)
-        assert sum(rec.local_times.values()) == pytest.approx(3.0, abs=1e-12)
-        assert rec.states[-1] == rec.terminal_state
+    [(local, state, censored)] = run_lockstep(gen, 0, 20, 0, 3.0, (0, 1, 2), arrays)
+    assert local.sum(axis=1) == pytest.approx(np.full(20, 3.0), abs=1e-12)
+    assert np.all(local[:, -1] == 0.0)
+    # the last holding interval is spent at the final state
+    assert np.all(local[np.arange(20), state] > 0)
+    assert not censored.any()
 
 
 def test_absorbing_state_holds():
     gen = validate_generator([[-5, 5], [0, 0]])
-    rng = np.random.default_rng(1)
-    rec = sample_path(gen, 0, 50.0, rng)
-    assert rec.terminal_state == 1
-    assert rec.local_times[1] > 0
+    [(local, state, censored)] = run_lockstep(gen, 0, 1000, 1, 50.0, (0, 1), arrays)
+    assert np.all(state == 1)
+    assert np.all(local[:, 1] > 0)
+    assert not censored.any()
 
 
 def test_mean_local_time_matches_semigroup():
@@ -94,37 +93,28 @@ def test_event_probability_matches_killed_semigroup():
 
 def test_terminal_distribution():
     T = 1.0
-    hits = 0
     n = 50_000
-    rng = np.random.default_rng(17)
     gen = TWO_STATE
     E = matrix_exponential(gen.rates, T)
-    for _ in range(n):
-        if sample_path(gen, 0, T, rng).terminal_state == 1:
-            hits += 1
-    p = hits / n
+    [(_, state, _)] = run_lockstep(gen, 0, n, 17, T, (0, 1), arrays)
+    p = np.mean(state == 1)
     assert abs(p - E[0, 1]) < 4 * np.sqrt(E[0, 1] * (1 - E[0, 1]) / n)
 
 
 def test_inverse_local_time_exact_level():
-    rng = np.random.default_rng(5)
     gen = validate_generator([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
     for h in (0.1, 1.0, 3.5):
-        rec = sample_until_inverse_local_time(gen, 0, 1, h, rng)
-        assert rec.local_times[1] == h
-        assert rec.terminal_state == 1
-        assert sum(rec.local_times.values()) == pytest.approx(rec.horizon, abs=1e-12)
+        [(local, state, censored)] = run_lockstep(gen, 0, 1000, 5, h, (0, 1, 2), arrays, site=1)
+        assert local[:, 1] == pytest.approx(np.full(1000, h), abs=1e-12)
+        assert np.all(state == 1)
+        assert not censored.any()
 
 
 def test_inverse_local_time_absorption_error():
+    # a path absorbed at 1 neither reaches the level at 0 nor jumps back
     gen = validate_generator([[-1, 1], [0, 0]])
-    rng = np.random.default_rng(7)
-    with pytest.raises(SimulationError):
-        sample_until_inverse_local_time(gen, 0, 0, 100.0, rng)
-    # the lockstep engine's site mode too: a path absorbed at 1 neither
-    # reaches the level nor jumps back to 0
     with pytest.raises(SimulationError, match="absorbed at state index 1"):
-        run_lockstep(gen, 0, 3, 1, 1.0, (0, 1), lambda *a: a, site=0, max_jumps=50)
+        run_lockstep(gen, 0, 3, 1, 1.0, (0, 1), arrays, site=0, max_jumps=50)
 
 
 def test_seed_determinism_and_worker_invariance():
@@ -148,11 +138,3 @@ def test_zero_accepted_flag():
     )
     assert est.zero_accepted
     assert est.mean == 0.0
-
-
-def test_dump_path_line_roundtrip_fields():
-    rng = np.random.default_rng(2)
-    rec = sample_path(TWO_STATE, 0, 1.0, rng)
-    line = dump_path_line(rec, seed=2)
-    assert line.startswith("seed=2\t")
-    assert "local=" in line and "states=" in line
