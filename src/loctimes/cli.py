@@ -26,7 +26,6 @@ from .chain import (
     Generator,
     RangeSpec,
     box_srw,
-    jump_rate_bound,
     load_generator,
     validate_generator,
 )

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 FLOW_LIMIT = 2_000_000
+QUADRATURE_START_GRID = 16  # nodes per angle of the first quadrature grid
 QUADRATURE_NODE_LIMIT = 2 ** 24
 LOCAL_TIME_RTOL = 1e-12
 
@@ -486,30 +487,43 @@ def density_series(gen: Generator, spec: RangeSpec, l, tol: float = 1e-10) -> De
     )
 
 
-def density_quadrature(
-    gen: Generator,
-    spec: RangeSpec,
-    l,
-    grid_points_per_angle: int = 16,
-    tol: float = 1e-9,
-    max_points_per_angle: int = 1024,
-) -> DensityResult:
-    """Derivative-free evaluation: complex cofactor determinant times the
-    oscillatory exponential, integrated by a periodic trapezoidal rule with
-    the starting site's angle pinned to zero.
+def _quadrature_integrand(A: np.ndarray, lv: np.ndarray, z: np.ndarray, a_pos: int, b_pos: int):
+    """The quadrature integrand at each row of unit phases z = e^{i theta}.
 
-    Node counts double until two successive grids agree to ``tol``
-    relative to the finer one, each doubling evaluating only the nodes it
-    adds; the surviving imaginary part is folded into the error estimate.
-    A grid of more than
-    ``QUADRATURE_NODE_LIMIT`` nodes raises ``ConvergenceError`` before
-    anything is allocated.
+    Every phase e^{i(theta_x - theta_y)} is z_x conj(z_y), so a node needs
+    only w = sqrt(l) z: the exponent is sum_xy A_xy w_x conj(w_y), and the
+    determinant is that of -B plus the potential (z_x / sqrt(l_x))
+    (B conj(w))_x on its diagonal, row b and column a replaced by units."""
+    n = len(lv)
+    sql = np.sqrt(lv)
+    A = A.astype(complex)  # like w, so that no product below casts a per-node array
+    B = A - np.diag(np.diag(A))
+    w = sql * z
+    wc = w.conj()
+    expo = np.exp(np.einsum("ix,xy,iy->i", w, A, wc))
+    D = np.empty((len(z), n, n), dtype=complex)
+    D[:] = -B
+    D.reshape(-1, n * n)[:, :: n + 1] += z / sql * (wc @ B.T)  # the diagonals
+    D[:, b_pos, :] = 0.0
+    D[:, :, a_pos] = 0.0
+    D[:, b_pos, a_pos] = 1.0
+    return np.linalg.det(D) * expo
+
+
+def density_quadrature(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) -> DensityResult:
+    """Derivative-free evaluation: complex cofactor determinant times the
+    oscillatory exponential (``_quadrature_integrand``), integrated by a
+    periodic trapezoidal rule with the starting site's angle pinned to zero.
+
+    Node counts double from ``QUADRATURE_START_GRID`` per angle until two
+    successive grids agree to ``tol`` relative to the finer one, each
+    doubling evaluating only the nodes it adds; the surviving imaginary
+    part is folded into the error estimate.  The one limit is
+    ``QUADRATURE_NODE_LIMIT``: a grid of more nodes raises
+    ``ConvergenceError`` before anything is allocated.
     """
-    if grid_points_per_angle < 4:
-        raise ValueError("need at least 4 grid points per angle")
     lv = as_times(spec, l)
     A = gen.submatrix(spec.range)
-    B = A - np.diag(np.diag(A))
     n = spec.size
     a_pos = spec.range.index(spec.start)
     b_pos = spec.range.index(spec.end)
@@ -517,34 +531,25 @@ def density_quadrature(
         value = float(np.exp(A[0, 0] * lv[0]))
         return DensityResult(value, "quadrature", 0.0, {"nodes_per_angle": 0})
     m = n - 1
-    sql = np.sqrt(lv)
-    ratio = np.sqrt(np.outer(lv, 1.0 / lv)).T  # ratio[x, z] = sqrt(l_z / l_x)
     cols = [k for k in range(n) if k != a_pos]
 
     def node_sum(N: int, new_only: bool) -> complex:
         """Sum of the integrand over the N-point grid per angle, generated
         in chunks from a flat index; with ``new_only``, over the nodes that
         the N/2 grid (all-even indices) does not contain."""
+        roots = np.exp(1j * (np.arange(N) * (2 * np.pi / N)))
         total = 0.0 + 0.0j
         for lo in range(0, N ** m, 65536):
             ijk = np.stack(np.unravel_index(np.arange(lo, min(lo + 65536, N ** m)), (N,) * m),
                            axis=1)
             if new_only:
                 ijk = ijk[np.any(ijk % 2 == 1, axis=1)]
-            th = np.zeros((len(ijk), n))
-            th[:, cols] = ijk * (2 * np.pi / N)
-            phase = np.exp(1j * (th[:, :, None] - th[:, None, :]))
-            expo = np.exp(np.einsum("xy,ixy->i", A * np.outer(sql, sql), phase))
-            pot = np.einsum("xz,ixz->ix", B * ratio, phase)
-            D = np.broadcast_to(-B, (th.shape[0], n, n)).astype(complex).copy()
-            D[:, np.arange(n), np.arange(n)] += pot
-            D[:, b_pos, :] = 0.0
-            D[:, :, a_pos] = 0.0
-            D[:, b_pos, a_pos] = 1.0
-            total += np.sum(np.linalg.det(D) * expo)
+            z = np.ones((len(ijk), n), dtype=complex)
+            z[:, cols] = roots[ijk]
+            total += np.sum(_quadrature_integrand(A, lv, z, a_pos, b_pos))
         return total
 
-    N, S, prev = grid_points_per_angle, 0.0 + 0.0j, None
+    N, S, prev = QUADRATURE_START_GRID, 0.0 + 0.0j, None
     while True:
         if N ** m > QUADRATURE_NODE_LIMIT:
             raise ConvergenceError(
@@ -554,7 +559,7 @@ def density_quadrature(
         cur = S / N ** m
         if prev is not None:
             diff = abs(cur - prev)
-            if diff <= tol * abs(cur) or N >= max_points_per_angle:
+            if diff <= tol * abs(cur):
                 break
         prev = cur
         N *= 2

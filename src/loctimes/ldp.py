@@ -10,7 +10,7 @@ bound of the range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -148,12 +148,12 @@ def rate_function_general(
     )
 
 
-def density_bound(gen: Generator, spec: RangeSpec, l, tilt: TiltFunction | None = None) -> float:
+def density_bound(gen: Generator, spec: RangeSpec, l) -> float:
     """Pointwise upper bound on the local-time density at l.
 
     Symmetric generators get the simplified constant exp(|R| (1 + 1/(4 eta T)));
     otherwise the bound uses the conjugated jump matrix built from the
-    rate-function minimizer (or a supplied tilt).
+    rate-function minimizer.
     """
     sites = spec.range
     l = np.asarray([l[s] for s in sites] if isinstance(l, dict) else l, dtype=float)
@@ -169,20 +169,14 @@ def density_bound(gen: Generator, spec: RangeSpec, l, tilt: TiltFunction | None 
         rate = rate_function_symmetric(gen, mu, sites)
         const = np.exp(len(sites) * (1.0 + 1.0 / (4.0 * eta * T)))
         return float(np.exp(-T * rate) * prefactor * const)
-    if tilt is None:
-        result = rate_function_general(gen, mu, sites)
-        rate = result.value
-        gmap = result.tilt.as_dict()
-        g = np.array([gmap.get(s, 1.0) for s in sites])
-    else:
-        rate = rate_function_general(gen, mu, sites).value
-        gmap = tilt.as_dict()
-        g = np.array([gmap[s] for s in sites])
+    result = rate_function_general(gen, mu, sites)
+    gmap = result.tilt.as_dict()
+    g = np.array([gmap.get(s, 1.0) for s in sites])
     B = A - np.diag(np.diag(A))
     r = np.sqrt(l) / g
     conjugated_sum = float(np.sum(r[:, None] * B / r[None, :]))
     const = np.exp((1.0 / eta + 1.0 / (4.0 * eta ** 2 * T)) * conjugated_sum)
-    return float(np.exp(-T * rate) * prefactor * const)
+    return float(np.exp(-T * result.value) * prefactor * const)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from loctimes.density import (
     _flow_table,
     _FlowTable,
     _LOG_FACT,
+    _quadrature_integrand,
     _series_degree,
 )
 
@@ -473,11 +474,61 @@ def test_factorial_tail_sum_matches_mpmath(s, K, q):
     assert abs(got / float(exact) - 1) <= 1e-13
 
 
-def test_quadrature_node_limit_raises_before_allocating():
-    gen = random_generator(4, np.random.default_rng(41))
-    spec = RangeSpec((0, 1, 2, 3), 0, 1)
+def test_quadrature_node_limit_raises_before_allocating(monkeypatch):
+    # the start grid of 16 per angle over 7 free angles has 2^28 nodes,
+    # past QUADRATURE_NODE_LIMIT (2^24), so not one node is evaluated
+    def no_nodes(*args):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr("loctimes.density._quadrature_integrand", no_nodes)
+    gen = random_generator(8, np.random.default_rng(41))
+    spec = RangeSpec(tuple(range(8)), 0, 1)
     with pytest.raises(ConvergenceError, match="quadrature not converged"):
-        density_quadrature(gen, spec, [0.25] * 4, grid_points_per_angle=512)
+        density_quadrature(gen, spec, [0.125] * 8)
+
+
+def _phase_tensor_integrand(A, lv, th, a_pos, b_pos):
+    """The quadrature integrand in its unfactored form: a (nodes, n, n)
+    tensor of phases e^{i(th_x - th_y)}, and the potential weighted by
+    sqrt(l_y / l_x)."""
+    n = len(lv)
+    B = A - np.diag(np.diag(A))
+    sql = np.sqrt(lv)
+    phase = np.exp(1j * (th[:, :, None] - th[:, None, :]))
+    expo = np.exp(np.einsum("xy,ixy->i", A * np.outer(sql, sql), phase))
+    pot = np.einsum("xy,ixy->ix", B * np.sqrt(np.outer(1.0 / lv, lv)), phase)
+    D = np.broadcast_to(-B, phase.shape).astype(complex)
+    D[:, np.arange(n), np.arange(n)] += pot
+    D[:, b_pos, :] = 0.0
+    D[:, :, a_pos] = 0.0
+    D[:, b_pos, a_pos] = 1.0
+    return np.linalg.det(D) * expo
+
+
+@pytest.mark.parametrize("a_pos, b_pos", [(0, 2), (1, 1)])
+def test_quadrature_integrand_matches_phase_tensor(a_pos, b_pos):
+    rng = np.random.default_rng(29)
+    gen = random_generator(5, rng, scale=2.0)  # non-symmetric, killing at 4
+    A = gen.submatrix((0, 1, 2, 3))
+    lv = 3.0 * rng.dirichlet(np.ones(4))
+    th = rng.uniform(0.0, 2 * np.pi, size=(500, 4))
+    th[:, a_pos] = 0.0
+    got = _quadrature_integrand(A, lv, np.exp(1j * th), a_pos, b_pos)
+    ref = _phase_tensor_integrand(A, lv, th, a_pos, b_pos)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("spec, order", [(SPEC_AB, 0), (SPEC_AA, 1)])
+def test_quadrature_converges_past_1024_per_angle(spec, order):
+    # exp(-l0 - l1 + 2 sqrt(l0 l1)) I_k(2 sqrt(l0 l1)) (sqrt(l0 / l1) for
+    # 0 -> 0) needs 8192 nodes per angle here; a grid stopped at 1024 is
+    # 14.5% off
+    l = (1e5, 1e5)
+    x = 2.0 * np.sqrt(l[0] * l[1])
+    exact = ive(order, x) * np.sqrt(l[0] / l[1]) ** order
+    res = density_quadrature(TWO_STATE, spec, l)
+    assert res.meta["nodes_per_angle"] == 8192
+    assert abs(res.value - exact) <= 1e-10 * exact
 
 
 def test_quadrature_relative_stop_matches_bessel():
