@@ -128,15 +128,13 @@ def validate_generator(rates, states: Sequence[Hashable] | None = None) -> Gener
         i = int(np.argmax(bad))
         raise GeneratorError(f"row {i} sums to {row_sums[i]:.3e}, not 0")
     # snap row sums to exactly zero so downstream identities are exact
-    fixed = rates.copy()
-    np.fill_diagonal(fixed, 0.0)
-    np.fill_diagonal(fixed, -fixed.sum(axis=1))
+    np.fill_diagonal(off, -off.sum(axis=1))
     if states is None:
         states = range(n)
     states = tuple(states)
     if len(states) != n:
         raise GeneratorError("number of state labels does not match matrix size")
-    return Generator(states=states, rates=fixed)
+    return Generator(states=states, rates=off)
 
 
 def jump_rate_bound(gen: Generator, range_states: Sequence[Hashable]) -> float:

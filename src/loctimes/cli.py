@@ -135,6 +135,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _integrate(f, spec, T, resolution, seed):
+    """``f`` over the simplex: on a grid up to size 4, by Monte Carlo beyond."""
+    if spec.size <= 4:
+        return simplex_integrate(f, SimplexChart(spec, T), resolution=resolution)
+    return simplex_integrate(f, SimplexChart(spec, T), mode="mc", seed=seed)
+
+
 def _random_simplex_points(T, size, n, rng):
     e = rng.standard_exponential((n, size))
     return T * e / e.sum(axis=1, keepdims=True)
@@ -201,14 +208,9 @@ def cmd_mc_validate(cfg, args):
     fname = cfg.get("functional", "one")
     F = _functional(fname, spec)
     est = mc_event_functional(gen, spec, T, F, n_paths, args.seed, workers=args.workers)
-    chart = SimplexChart(spec, T)
     ev = SeriesEvaluator(gen, spec)
-    if spec.size <= 4:
-        integral = simplex_integrate(lambda L: ev.values(L)[0] * F(L), chart,
-                                     resolution=int(cfg.get("resolution", 96)))
-    else:
-        integral = simplex_integrate(lambda L: ev.values(L)[0] * F(L), chart,
-                                     mode="mc", seed=args.seed + 1)
+    integral = _integrate(lambda L: ev.values(L)[0] * F(L), spec, T,
+                          int(cfg.get("resolution", 96)), args.seed + 1)
     diff_se = abs(est.mean - integral.value) / max(est.std_error, 1e-300)
     table = Table(["functional", "mc_mean", "mc_std_error", "integral", "integral_error",
                    "diff_in_se", "n_paths", "n_accepted", "seed"])
@@ -223,14 +225,9 @@ def cmd_marginal_check(cfg, args):
     gen = build_generator(cfg)
     spec = build_spec(cfg)
     T = float(cfg.get("T", 1.0))
-    chart = SimplexChart(spec, T)
     ev = SeriesEvaluator(gen, spec)
-    if spec.size <= 4:
-        integral = simplex_integrate(lambda L: ev.values(L)[0], chart,
-                                     resolution=int(cfg.get("resolution", 128)))
-    else:
-        integral = simplex_integrate(lambda L: ev.values(L)[0], chart,
-                                     mode="mc", seed=args.seed)
+    integral = _integrate(lambda L: ev.values(L)[0], spec, T,
+                          int(cfg.get("resolution", 128)), args.seed)
     exact = range_exact_prob(gen, spec, T)
     diff = abs(integral.value - exact)
     tol = float(cfg.get("tol", 1e-5)) * max(abs(exact), 1e-300)

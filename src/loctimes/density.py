@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial, lgamma
+from math import comb, factorial, lgamma, prod
 from typing import Mapping
 
 import numpy as np
+from scipy.special import ive
 
 from .chain import Generator, RangeSpec
 
@@ -41,9 +42,7 @@ __all__ = [
 ]
 
 FLOW_LIMIT = 2_000_000
-QUADRATURE_START_GRID = 16  # nodes per angle of the first quadrature grid
 QUADRATURE_NODE_LIMIT = 2 ** 24
-LOCAL_TIME_RTOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -435,8 +434,6 @@ def _cofactor(M: np.ndarray, a_pos: int, b_pos: int) -> float:
     N[b_pos, :] = 0.0
     N[:, a_pos] = 0.0
     N[b_pos, a_pos] = 1.0
-    if N.shape[0] == 1:
-        return complex(N[0, 0]) if np.iscomplexobj(N) else float(N[0, 0])
     return np.linalg.det(N)
 
 
@@ -510,65 +507,96 @@ def _quadrature_integrand(A: np.ndarray, lv: np.ndarray, z: np.ndarray, a_pos: i
     return np.linalg.det(D) * expo
 
 
+def _quadrature_grid(A: np.ndarray, lv: np.ndarray, a_pos: int, tol: float) -> np.ndarray:
+    """Nodes of the first trapezoidal grid on each angle but ``a_pos``'s.
+
+    Angle x enters the exponent with strength s_x = sum_y (|B_xy| + |B_yx|)
+    sqrt(l_x l_y), and the N-node rule on e^{s cos theta} is off by about
+    2 I_N(s) / I_0(s) (Trefethen & Weideman, SIAM Rev. 56, 2014).  Each
+    angle gets the smallest N that puts this within tol, plus |R| for the
+    determinant's degree in the phase.  The bisection for N starts below
+    c + sqrt(c^2 + 2cs), c = log(2 / tol) - log(e^{-s} I_0(s)), since
+    I_N(s) <= e^{s cosh t - Nt} at t = asinh(N / s), which is at most
+    e^{s - N^2 / (2(s + N))}."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    B = np.abs(A - np.diag(np.diag(A)))
+    sql = np.sqrt(lv)
+    s = np.delete(sql * ((B + B.T) @ sql), a_pos)
+    i0 = ive(0, s)
+    c = np.log(2.0 / tol) - np.log(i0)
+    lo, hi = np.zeros(len(s)), np.ceil(c + np.sqrt(c * c + 2.0 * c * s))
+    while np.any(hi - lo > 1):
+        mid = np.floor((lo + hi) / 2)
+        ok = 2.0 * ive(mid, s) <= tol * i0
+        lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+    return hi.astype(np.int64) + len(lv)
+
+
+def _refine(N: np.ndarray) -> np.ndarray:
+    """The grid compared with N: N + max(4, N // 8) nodes per angle."""
+    return N + np.maximum(4, N // 8)
+
+
 def density_quadrature(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) -> DensityResult:
     """Derivative-free evaluation: complex cofactor determinant times the
     oscillatory exponential (``_quadrature_integrand``), integrated by a
     periodic trapezoidal rule with the starting site's angle pinned to zero.
 
-    Node counts double from ``QUADRATURE_START_GRID`` per angle until two
-    successive grids agree to ``tol`` relative to the finer one, each
-    doubling evaluating only the nodes it adds; the surviving imaginary
-    part is folded into the error estimate.  The one limit is
-    ``QUADRATURE_NODE_LIMIT``: a grid of more nodes raises
-    ``ConvergenceError`` before anything is allocated.
+    The grid sized by ``_quadrature_grid`` and each one after it are
+    compared with the next (``_refine``) until two agree to ``tol``
+    relative to the finer.  The error estimate adds the imaginary part and
+    the rounding, 2^-52 (sum_xy |A_xy| sqrt(l_x l_y) + |R|) times the mean
+    modulus of the integrand.  ``ConvergenceError`` is raised before any
+    grid that takes the nodes evaluated past ``QUADRATURE_NODE_LIMIT``,
+    the first two grids counted together.
     """
     lv = as_times(spec, l)
     A = gen.submatrix(spec.range)
     n = spec.size
     a_pos = spec.range.index(spec.start)
     b_pos = spec.range.index(spec.end)
-    if n == 1:
-        value = float(np.exp(A[0, 0] * lv[0]))
-        return DensityResult(value, "quadrature", 0.0, {"nodes_per_angle": 0})
-    m = n - 1
     cols = [k for k in range(n) if k != a_pos]
 
-    def node_sum(N: int, new_only: bool) -> complex:
-        """Sum of the integrand over the N-point grid per angle, generated
-        in chunks from a flat index; with ``new_only``, over the nodes that
-        the N/2 grid (all-even indices) does not contain."""
-        roots = np.exp(1j * (np.arange(N) * (2 * np.pi / N)))
-        total = 0.0 + 0.0j
-        for lo in range(0, N ** m, 65536):
-            ijk = np.stack(np.unravel_index(np.arange(lo, min(lo + 65536, N ** m)), (N,) * m),
-                           axis=1)
-            if new_only:
-                ijk = ijk[np.any(ijk % 2 == 1, axis=1)]
-            z = np.ones((len(ijk), n), dtype=complex)
-            z[:, cols] = roots[ijk]
-            total += np.sum(_quadrature_integrand(A, lv, z, a_pos, b_pos))
-        return total
+    def node_means(N: np.ndarray) -> tuple[complex, float]:
+        """Means of the integrand and of its modulus over the grid of N[j]
+        nodes on angle cols[j], generated in chunks from a flat index."""
+        roots = [np.exp(1j * (np.arange(k) * (2 * np.pi / k))) for k in N]
+        total, modulus, size = 0.0 + 0.0j, 0.0, prod(N.tolist())
+        for lo in range(0, size, 65536):
+            flat = np.arange(lo, min(lo + 65536, size))
+            z = np.ones((len(flat), n), dtype=complex)
+            for col, r in zip(cols, roots):
+                flat, i = np.divmod(flat, len(r))
+                z[:, col] = r[i]
+            f = _quadrature_integrand(A, lv, z, a_pos, b_pos)
+            total += np.sum(f)
+            modulus += np.sum(np.abs(f))
+        return total / size, modulus / size
 
-    N, S, prev = QUADRATURE_START_GRID, 0.0 + 0.0j, None
+    N = _quadrature_grid(A, lv, a_pos, tol)
+    used, prev = prod(N.tolist()), None
     while True:
-        if N ** m > QUADRATURE_NODE_LIMIT:
+        fine = _refine(N)
+        used += prod(fine.tolist())
+        if used > QUADRATURE_NODE_LIMIT:
             raise ConvergenceError(
                 f"quadrature not converged within {QUADRATURE_NODE_LIMIT} nodes "
-                f"({N} per angle over {m} angles)")
-        S += node_sum(N, new_only=prev is not None)
-        cur = S / N ** m
-        if prev is not None:
-            diff = abs(cur - prev)
-            if diff <= tol * abs(cur):
-                break
-        prev = cur
-        N *= 2
-    err = diff + abs(cur.imag)
+                f"(up to {fine.max()} per angle over {n - 1} angles)")
+        if prev is None:
+            prev = node_means(N)[0]
+        cur, modulus = node_means(fine)
+        diff = abs(cur - prev)
+        if diff <= tol * abs(cur):
+            break
+        prev, N = cur, fine
+    sql = np.sqrt(lv)
+    rounding = 2.0 ** -52 * (sql @ np.abs(A) @ sql + n) * modulus
     return DensityResult(
         value=float(cur.real),
         method="quadrature",
-        error_estimate=float(err),
-        meta={"nodes_per_angle": N, "nodes": N ** m},
+        error_estimate=float(diff + abs(cur.imag) + rounding),
+        meta={"nodes_per_angle": max(fine.tolist(), default=0), "nodes": prod(fine.tolist())},
     )
 
 
@@ -618,15 +646,14 @@ def density_finite_difference(
 
 
 def local_time_density(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) -> DensityResult:
-    """Evaluate the density by the preferred route: the flow series for
-    small or weakly coupled ranges, the angular quadrature otherwise."""
+    """Evaluate the density by the route chosen before any evaluation: the
+    angular quadrature when its first two sized grids fit within
+    ``QUADRATURE_NODE_LIMIT`` together, the flow series otherwise."""
     lv = as_times(spec, l)
-    if spec.size <= 6 or SeriesEvaluator(gen, spec, tol=tol)._strengths(lv[None, :])[0] < 10.0:
-        try:
-            return density_series(gen, spec, lv, tol=tol)
-        except (ConvergenceError, CapacityError):
-            pass
-    return density_quadrature(gen, spec, lv, tol=tol)
+    N = _quadrature_grid(gen.submatrix(spec.range), lv, spec.range.index(spec.start), tol)
+    if prod(N.tolist()) + prod(_refine(N).tolist()) <= QUADRATURE_NODE_LIMIT:
+        return density_quadrature(gen, spec, lv, tol=tol)
+    return density_series(gen, spec, lv, tol=tol)
 
 
 def gauge_invariance_check(gen: Generator, spec: RangeSpec, l, r, tol: float = 1e-12) -> float:

@@ -51,9 +51,6 @@ class TiltFunction:
             raise ValueError("tilt values must be strictly positive")
         object.__setattr__(self, "values", values)
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.sites, self.values))
-
 
 @dataclass
 class RateFunctionResult:
@@ -129,16 +126,13 @@ def rate_function_general(
         return f, grad_full[1:]
 
     rng = np.random.default_rng(seed)
-    best = None
-    optima = []
+    results = []
     for k in range(n_restarts):
         u0 = np.zeros(n - 1) if k == 0 else rng.normal(scale=0.5, size=n - 1)
-        res = minimize(objective, u0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 10_000, "ftol": 1e-15, "gtol": tol})
-        optima.append(res.fun)
-        if best is None or res.fun < best.fun:
-            best = res
-    spread = float(max(optima) - min(optima))
+        results.append(minimize(objective, u0, jac=True, method="L-BFGS-B",
+                                options={"maxiter": 10_000, "ftol": 1e-15, "gtol": tol}))
+    best = min(results, key=lambda res: res.fun)
+    spread = float(max(res.fun for res in results) - best.fun)
     g = np.exp(np.concatenate([[0.0], best.x]))
     return RateFunctionResult(
         value=float(-best.fun),
@@ -169,11 +163,9 @@ def density_bound(gen: Generator, spec: RangeSpec, l) -> float:
         rate = rate_function_symmetric(gen, mu, sites)
         const = np.exp(len(sites) * (1.0 + 1.0 / (4.0 * eta * T)))
         return float(np.exp(-T * rate) * prefactor * const)
-    result = rate_function_general(gen, mu, sites)
-    gmap = result.tilt.as_dict()
-    g = np.array([gmap.get(s, 1.0) for s in sites])
+    result = rate_function_general(gen, mu, sites)  # l > 0, so its tilt covers every site
     B = A - np.diag(np.diag(A))
-    r = np.sqrt(l) / g
+    r = np.sqrt(l) / result.tilt.values
     conjugated_sum = float(np.sum(r[:, None] * B / r[None, :]))
     const = np.exp((1.0 / eta + 1.0 / (4.0 * eta ** 2 * T)) * conjugated_sum)
     return float(np.exp(-T * result.value) * prefactor * const)
@@ -212,8 +204,11 @@ class SimplexBall:
 def _root_objective(L, F: Callable[[np.ndarray], float] | None = None):
     """Objective over v with mu = v^2 / s, s = v.v: the Rayleigh quotient
     q = v.Lv / s minus F(mu), with its gradient (2/s) (Lv - q v) -
-    (2/s) (v g - (mu.g) v), g = grad F(mu) (forward differences when F
-    has no ``gradient``).  L is symmetric; the value ignores the scale of v."""
+    (2/s) (v g - (mu.g) v), g = ``F.gradient(mu)``; a functional without
+    ``gradient`` raises ValueError.  L is symmetric; the value ignores the
+    scale of v."""
+    if F is not None and not hasattr(F, "gradient"):
+        raise ValueError("the functional needs a gradient attribute")
 
     def objective(v):
         s = float(v @ v)
@@ -222,22 +217,12 @@ def _root_objective(L, F: Callable[[np.ndarray], float] | None = None):
         val, grad = q, Lv - q * v
         if F is not None:
             mu = v * v / s
-            g = F.gradient(mu) if hasattr(F, "gradient") else _numerical_grad(F, mu)
+            g = F.gradient(mu)
             val -= F(mu)
             grad -= v * g - float(mu @ g) * v
         return val, (2.0 / s) * grad
 
     return objective
-
-
-def _numerical_grad(F, mu, h=1e-7):
-    g = np.zeros_like(mu)
-    base = F(mu)
-    for i in range(len(mu)):
-        e = np.zeros_like(mu)
-        e[i] = h
-        g[i] = (F(mu + e) - base) / h
-    return g
 
 
 def _minimize_roots(objective, starts, constraint: SimplexBall | None = None, gtol: float = 1e-10,
@@ -312,7 +297,8 @@ def ldp_upper_bound_rhs(
     ``constraint`` restricts the infimum of the rate function to a simplex
     ball (None means the whole simplex, infimum 0 at the invariant
     measure); ``functional`` switches to the expectation form, where the
-    inner value is inf [I - F] (so the bound is T sup[F - I] + errors).
+    inner value is inf [I - F] (so the bound is T sup[F - I] + errors);
+    it must carry a ``gradient`` attribute, the gradient of F in mu.
     The rate function is the Dirichlet form of sqrt(mu), so the infimum is
     taken over v = sqrt(mu), from the uniform measure and Dirichlet draws.
     A ball that no restart ends inside raises ValueError.
@@ -357,13 +343,10 @@ def _dirichlet_laplacian(n_per_axis: int, dim: int):
     main = 2.0 * np.ones(n_per_axis)
     off = -np.ones(n_per_axis - 1)
     L1 = diags_array([off, main, off], offsets=[-1, 0, 1], format="csr")
-    L = None
-    for axis in range(dim):
-        term = None
-        for k in range(dim):
-            factor = L1 if k == axis else sparse_identity(n_per_axis, format="csr")
-            term = factor if term is None else sparse_kron(term, factor, format="csr")
-        L = term if L is None else L + term
+    L = L1
+    for _ in range(dim - 1):
+        L = (sparse_kron(L, sparse_identity(n_per_axis), format="csr")
+             + sparse_kron(sparse_identity(L.shape[0]), L1, format="csr"))
     return L
 
 
@@ -454,6 +437,8 @@ def chi_discrete(
     (including pairs into the zero boundary) of the squared difference of
     sqrt(mu); for the zero functional in one dimension this converges to
     the principal Dirichlet eigenvalue of -Laplacian/2 on the interval.
+    A callable ``functional`` must carry a ``gradient`` attribute, the
+    gradient of F in mu, as the named functionals do.
 
     L-BFGS-B runs over x, where the energy is x.x (see ``_box_objective``);
     ``tol`` is its gradient tolerance in x.

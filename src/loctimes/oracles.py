@@ -194,12 +194,9 @@ def _gaussian_quadrature(M, lam_min):
     U = np.sqrt(50.0 / lam_min)
     gl_nodes, gl_weights = leggauss(RADIAL_NODES)
     edges = np.linspace(0.0, U, RADIAL_PANELS + 1)
-    u_nodes, u_weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u_nodes.append(0.5 * (hi - lo) * gl_nodes + 0.5 * (hi + lo))
-        u_weights.append(0.5 * (hi - lo) * gl_weights)
-    u = np.concatenate(u_nodes)
-    w = np.concatenate(u_weights)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    u = (0.5 * (hi - lo) * gl_nodes + 0.5 * (hi + lo)).ravel()
+    w = (0.5 * (hi - lo) * gl_weights).ravel()
     if n == 1:
         # l = u^2; integrand exp(-M l) with Jacobian 2u
         vals = np.exp(-M[0, 0] * u ** 2) * 2 * u

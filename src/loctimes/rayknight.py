@@ -12,7 +12,7 @@ simulated profiles against matched synthetic draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -140,7 +140,6 @@ class ProfileBatch:
     depth: int
     records: np.ndarray
     n_censored: int
-    n_requested: int
 
     def at(self, position: int) -> np.ndarray:
         if not -self.depth <= position <= self.b + self.depth:
@@ -183,7 +182,6 @@ def simulate_profiles(
         depth=depth,
         records=records,
         n_censored=sum(p[1] for p in parts),
-        n_requested=n_paths,
     )
 
 
@@ -229,13 +227,8 @@ class RkReport:
 
     def rows(self):
         for o in self.outcomes:
-            yield {
-                "test": o.name,
-                "statistic": o.statistic,
-                "threshold": o.threshold,
-                "p_value": o.p_value,
-                "passed": int(o.passed),
-            }
+            row = asdict(o)
+            yield {"test": row.pop("name"), **row, "passed": int(o.passed)}
 
 
 def _quantile_bins(h1: np.ndarray, min_per_bin: int = 500) -> list:

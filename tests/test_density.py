@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
-from loctimes.chain import RangeSpec, validate_generator
+from loctimes.chain import RangeSpec, box_srw, validate_generator
 from loctimes.density import (
     FLOW_LIMIT,
     CapacityError,
@@ -22,6 +22,7 @@ from loctimes.density import (
     _factorial_tail,
     _flow_table,
     _FlowTable,
+    _FLOW_TABLES,
     _LOG_FACT,
     _quadrature_integrand,
     _series_degree,
@@ -475,8 +476,9 @@ def test_factorial_tail_sum_matches_mpmath(s, K, q):
 
 
 def test_quadrature_node_limit_raises_before_allocating(monkeypatch):
-    # the start grid of 16 per angle over 7 free angles has 2^28 nodes,
-    # past QUADRATURE_NODE_LIMIT (2^24), so not one node is evaluated
+    # the sized grids here have 17-18 and 21-22 nodes on each of 7 free
+    # angles, 2.8e9 nodes together, past QUADRATURE_NODE_LIMIT (2^24), so
+    # not one node is evaluated
     def no_nodes(*args):
         raise AssertionError("a node was evaluated")
 
@@ -521,13 +523,13 @@ def test_quadrature_integrand_matches_phase_tensor(a_pos, b_pos):
 @pytest.mark.parametrize("spec, order", [(SPEC_AB, 0), (SPEC_AA, 1)])
 def test_quadrature_converges_past_1024_per_angle(spec, order):
     # exp(-l0 - l1 + 2 sqrt(l0 l1)) I_k(2 sqrt(l0 l1)) (sqrt(l0 / l1) for
-    # 0 -> 0) needs 8192 nodes per angle here; a grid stopped at 1024 is
-    # 14.5% off
+    # 0 -> 0) needs about 3,300 nodes per angle here; a grid stopped at
+    # 1024 is 14.5% off
     l = (1e5, 1e5)
     x = 2.0 * np.sqrt(l[0] * l[1])
     exact = ive(order, x) * np.sqrt(l[0] / l[1]) ** order
     res = density_quadrature(TWO_STATE, spec, l)
-    assert res.meta["nodes_per_angle"] == 8192
+    assert res.meta["nodes_per_angle"] > 1024
     assert abs(res.value - exact) <= 1e-10 * exact
 
 
@@ -546,7 +548,44 @@ def test_quadrature_unreachable_end_is_zero():
     gen = validate_generator([[-1, 1, 0, 0], [1, -2, 1, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
     res = density_quadrature(gen, RangeSpec((0, 1, 2, 3), 0, 3), [0.25] * 4)
     assert res.value == 0.0
-    assert res.meta["nodes_per_angle"] == 32
+    assert res.meta["nodes_per_angle"] <= 32
+
+
+@pytest.mark.parametrize("l, tol", [(1e3, 1e-14), (1e5, 1e-12), (1e6, 1e-11)])
+def test_quadrature_estimate_covers_rounding(l, tol):
+    # each tol is about the tightest the point converges at, so the last
+    # two grids agree to within rounding and the estimate rests on its
+    # rounding term: without it the estimate is 1.2e-17, 6.2e-16 and
+    # 1.9e-15 against errors of 5.7e-16, 2.7e-15 and 1.2e-14
+    res = density_quadrature(TWO_STATE, SPEC_AB, (l, l), tol=tol)
+    assert abs(res.value - ive(0, 2.0 * l)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9])
+def test_quadrature_rejects_nonpositive_tol(tol):
+    # a tol <= 0 has no grid size; the sizing would take a nan node count
+    for fn in (density_quadrature, local_time_density):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fn(TWO_STATE, SPEC_AB, L_UNIT, tol=tol)
+
+
+def test_router_takes_quadrature_at_t8_without_a_flow_table():
+    # the series here needs a table past FLOW_LIMIT; the quadrature
+    # accepts a grid of 20,184 nodes
+    tables = {size: tab.max_degree for size, tab in _FLOW_TABLES.items()}
+    spec = RangeSpec((-2, -1, 0, 1), -2, 1)
+    res = local_time_density(box_srw(1, 2), spec, [2.0] * 4)
+    assert res.method == "quadrature"
+    assert {size: tab.max_degree for size, tab in _FLOW_TABLES.items()} == tables
+
+
+def test_router_takes_series_past_the_node_limit():
+    # 11 nodes on each of 7 angles and 15 on the confirming grid: 1.9e8
+    # nodes, past QUADRATURE_NODE_LIMIT, while the series stops at degree 6
+    gen = random_generator(8, np.random.default_rng(41))
+    res = local_time_density(gen, RangeSpec(tuple(range(8)), 0, 1), [1e-4] * 8)
+    assert res.method == "series"
+    assert res.meta["degree"] == 6
 
 
 def test_gauge_check_truncates_at_the_density_degree():

@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest, skellam
 
+from loctimes.chain import RangeSpec, box_srw
+from loctimes.density import density_quadrature
 from loctimes.rayknight import (
     ProfileBatch,
     bessel_i,
@@ -192,3 +194,35 @@ def test_rk_battery_small():
     rows = list(report.rows())
     assert all(r["passed"] for r in rows)
     assert report.n_censored == 0
+
+
+def _kernel_product(lo, hi, b, l):
+    """The density of the rate-1 walk's local times on the exact range
+    [lo, hi], from 0 to b, in Ray-Knight form: the inward kernel f from b
+    to 0, the outward kernel from 0 and from b away from each other, and
+    the outward kernel's atoms e^{-l_lo} and e^{-l_hi} past the ends."""
+    L = dict(zip(range(lo, hi + 1), l))
+    step = 1 if b >= 0 else -1
+    out = np.exp(-L[lo] - L[hi])
+    for x in range(b, 0, -step):
+        out *= f_kernel(L[x], L[x - step])
+    for x in range(min(0, b), lo, -1):
+        out *= pstar_kernel(L[x]).density(L[x - 1])
+    for x in range(max(0, b), hi):
+        out *= pstar_kernel(L[x]).density(L[x + 1])
+    return float(out)
+
+
+@pytest.mark.parametrize("lo, hi, b, scale", [
+    (-1, 1, 1, 80.0), (-1, 1, 0, 40.0), (-1, 1, -1, 10.0), (0, 2, 2, 0.1), (-2, 0, -2, 1.0),
+    (-1, 2, 2, 40.0), (-2, 1, 0, 10.0), (-2, 1, -1, 1.0), (-1, 2, 1, 0.1), (-1, 2, 0, 2.0),
+])
+def test_density_is_the_kernel_product(lo, hi, b, scale):
+    # the paper's closing remark: on an interval the density factors into
+    # the Ray-Knight kernels, so they are a reference for the quadrature
+    # from small l up to l = 80, where its grids grow to 100-150 per angle
+    l = scale * np.random.default_rng([lo + 10, hi + 10, b + 10]).uniform(0.5, 1.5, hi - lo + 1)
+    res = density_quadrature(box_srw(1, 12), RangeSpec(tuple(range(lo, hi + 1)), 0, b), l)
+    want = _kernel_product(lo, hi, b, l)
+    assert abs(res.value - want) <= 1e-9 * want
+    assert abs(res.value - want) <= res.error_estimate + 1e-15 * want
