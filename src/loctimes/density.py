@@ -21,12 +21,13 @@ evaluators are meant for the open simplex only.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import comb, factorial, lgamma, prod
+from math import comb, factorial, prod
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ive
+from scipy.special import gammainc, gammaln, ive
 
 from .chain import Generator, RangeSpec
 
@@ -230,20 +231,6 @@ class _FlowTable:
         return (int(np.searchsorted(self.degree, K, side="right")),
                 int(np.searchsorted(self.monomial_degree, K, side="right")))
 
-    def monomial_coefficients(self, B: np.ndarray, K: int) -> np.ndarray:
-        """Per-monomial sums of the flow coefficients prod B_xy^n_xy / n_xy!
-        over the flows of degree <= K; real and imaginary parts are summed
-        separately for a complex ``B``."""
-        n_flows, n_monomials = self.sizes(K)
-        with np.errstate(invalid="ignore"):
-            powers = np.ravel(B)[None, :] ** self.counts[:n_flows]
-        coeff = np.prod(powers, axis=1) * self.inv_factorial[:n_flows]
-        index = self.monomial[:n_flows]
-        out = np.bincount(index, weights=coeff.real, minlength=n_monomials)
-        if np.iscomplexobj(coeff):
-            out = out + 1j * np.bincount(index, weights=coeff.imag, minlength=n_monomials)
-        return out
-
 
 _LOG_FACT = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 200)))))
 _FLOW_TABLES: dict[int, _FlowTable] = {}
@@ -262,55 +249,21 @@ def _flow_table(size: int, max_degree: int, limit: int = FLOW_LIMIT) -> _FlowTab
 # the angular integral as a flow series
 
 
-def _series_degree(strength: float, tol: float, max_degree: int) -> int:
-    """Smallest truncation degree whose factorial tail bound is below tol
-    (relative to exp(strength), the crude magnitude of the series)."""
-    target = tol * max(1.0, np.exp(min(strength, 200.0)))
-    term = 1.0
-    k = 0
-    while k < max_degree:
-        k += 1
-        term *= strength / k
-        if term < target and k > strength:
-            break
-    return min(max(k + 2, 4), max_degree)
-
-
-def _factorial_tail(s: np.ndarray, K: int, q: int = 0) -> np.ndarray:
-    """sum_{k>K} k^q s^k / k!, elementwise in the strengths ``s``.
-
-    The flows of degree k sum to at most s^k / k! in absolute value (the
-    multinomial expansion of s^k over all edges), and a derivative weight
-    prod_{x in Q} deg_x is at most k^|Q| at degree k, since every site's
-    in + out degree is at most k.  The term ratio r_k = s/(k+1) ((k+1)/k)^q
-    decreases in k, so once it is below 1 the terms still to come sum to at
-    most term * r / (1 - r); the sum stops when that is below rounding.
-    """
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        return np.full(s.shape, np.inf)
-    k = K + 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        term = np.exp(k * np.log(s) - lgamma(k + 1) + q * np.log(k))
-        total = term.copy()
-        while True:
-            r = s / (k + 1) * ((k + 1) / k) ** q
-            rest = term * r / (1.0 - r)
-            done = ~np.isfinite(total) | ((r < 1.0) & (rest <= 2.0 ** -52 * total))
-            if np.all(done):
-                return total + np.where(np.isfinite(total), rest, 0.0)
-            term = term * r
-            total += term
-            k += 1
-
-
 class _FlowSeries:
     """exp(diag . l) sum_j det_j (prod_{x in Q_j} d/dl_x) theta_B(l) over the
     pairs (Q_j, det_j) of ``terms``, where diag and B are the diagonal and
     off-diagonal parts of the real or complex matrix ``A`` and theta_B is
-    the angular integral of B summed as its balanced-flow series.  The
-    derivative of a monomial prod l^(deg/2) in l_x is deg_x / (2 l_x) times
-    it; the flow coefficients are aggregated once per degree and cached.
+    the angular integral of B, summed as its balanced-flow series degree by
+    degree to the first degree K where every row's truncation bound is at
+    most tol times its partial sum.  d/dl_x takes a monomial prod l^(deg/2)
+    to deg_x / (2 l_x) times it.
+
+    The bound: each flow's coefficient is at most its term in e^s,
+    s = sum_{x != y} |B_xy| sqrt(l_x l_y), in powers of sqrt(l), and d/dl_x
+    keeps such terms nonnegative; s being a sum of pair terms, Faa di Bruno
+    bounds the error of (Q, det) by |exp(diag . l) det| sum_pi prod_{b in pi}
+    d_b s T(s, K - |pi|), pi over the partitions of Q into blocks of one or
+    two sites, T(s, k) = sum_{i>k} s^i / i! (e^s for k < 0).
     """
 
     def __init__(self, A: np.ndarray, terms: list, tol: float, max_degree: int = 80):
@@ -319,82 +272,126 @@ class _FlowSeries:
         self.terms = terms
         self.tol = tol
         self.max_degree = max_degree
-        self._weights: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        self._W, self._through = np.zeros((0, len(terms))), -1
 
-    def _monomial_weights(self, K: int):
-        """Halved site degrees of the monomials of degree <= K, and per
-        monomial and term, the aggregated coefficient times the derivative
-        weight prod_{x in Q} deg_x."""
-        if K not in self._weights:
-            tab = _flow_table(len(self.diag), K)
-            coeff = tab.monomial_coefficients(self.B, K)
-            powers = tab.powers[: len(coeff)]
-            W = np.empty((len(coeff), len(self.terms)), dtype=coeff.dtype)
+    def _weights(self, K: int) -> np.ndarray:
+        """Per monomial of degree <= K and per term: the summed coefficients
+        prod B_xy^n_xy / n_xy! of its flows times prod_{x in Q} deg_x."""
+        if K > self._through:
+            tab = _FLOW_TABLES[len(self.diag)]
+            (f0, m0), (f1, m1) = tab.sizes(self._through), tab.sizes(K)
+            coeff = np.prod(self.B.ravel() ** tab.counts[f0:f1], axis=1) * tab.inv_factorial[f0:f1]
+            agg = np.zeros(m1 - m0, dtype=coeff.dtype)
+            np.add.at(agg, tab.monomial[f0:f1] - m0, coeff)
+            W = np.empty((m1 - m0, len(self.terms)), dtype=agg.dtype)
             for j, (Q, _) in enumerate(self.terms):
-                W[:, j] = coeff * np.prod(2.0 * powers[:, Q], axis=1)
-            self._weights[K] = (powers, W, tab.sizes(K)[0])
-        return self._weights[K]
+                W[:, j] = agg * np.prod(2.0 * tab.powers[m0:m1, Q], axis=1)
+            self._W, self._through = np.concatenate([self._W, W]), K
+        return self._W
 
-    def _strengths(self, L: np.ndarray) -> np.ndarray:
-        sql = np.sqrt(L)
-        return np.einsum("xy,ix,iy->i", np.abs(self.B), sql, sql)
-
-    def _evaluate(self, L: np.ndarray, strengths: np.ndarray, K: int):
-        """Values at the rows of ``L`` truncated at degree K, with each
-        row's factorial tail bound; raises when the degree is at its cap
-        and some row's bound exceeds tol times its value."""
-        powers, W, _ = self._monomial_weights(K)
-        # keep the (chunk, monomials) working array near 128 MB
-        chunk = max(32, int(16_000_000 // max(len(powers), 1)))
-        prefactor = np.exp(L @ self.diag)
-        # per row and term: det times the factors 1/(2 l_x) of the derivatives
-        scale = np.empty((len(L), len(self.terms)))
-        bound = np.zeros(len(L))
-        tails: dict[int, np.ndarray] = {}
-        for j, (Q, det) in enumerate(self.terms):
-            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
-            if len(Q) not in tails:
-                tails[len(Q)] = _factorial_tail(strengths, K, len(Q))
-            bound += np.abs(scale[:, j]) * tails[len(Q)]
-        out = np.empty(len(L), dtype=np.result_type(W, prefactor))
-        # one (chunk, monomials) buffer, reused by every block
-        buf = np.empty((min(chunk, len(L)), len(powers)))
-        for lo in range(0, len(L), chunk):
-            block = L[lo : lo + chunk]
-            P = np.matmul(np.log(block), powers.T, out=buf[: len(block)])
+    def _pass_sum(self, logL: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Per row of ``logL`` = log(L), the share of the degrees lo+1 .. hi
+        in the series, before the factor exp(diag . l)."""
+        tab = _flow_table(len(self.diag), hi)
+        m0, m1 = tab.sizes(lo)[1], tab.sizes(hi)[1]
+        W, powers = self._weights(hi)[m0:m1], tab.powers[m0:m1]
+        out = np.empty(len(logL), dtype=W.dtype)
+        # one (chunk, monomials) buffer of at most about 8 MB, reused by every
+        # block: a batch's working memory then does not grow with its degree
+        chunk = max(32, int(1_000_000 // max(len(powers), 1)))
+        buf = np.empty((min(chunk, len(logL)), len(powers)))
+        for lo_row in range(0, len(logL), chunk):
+            rows = slice(lo_row, lo_row + chunk)
+            block = logL[rows]
+            P = np.matmul(block, powers.T, out=buf[: len(block)])
             np.exp(P, out=P)
-            out[lo : lo + chunk] = np.einsum("ij,ij->i", P @ W, scale[lo : lo + chunk])
-        out *= prefactor
-        err = np.abs(prefactor) * bound
-        # written so that a nan error (overflowed tail) also raises
-        if K >= self.max_degree and not np.all(err <= self.tol * np.abs(out)):
-            raise ConvergenceError(f"flow series not converged at degree {K}")
-        return out, err
+            out[rows] = np.einsum("ij,ij->i", P @ W, scale[rows])
+        return out
 
-    def _point(self, l):
-        L = np.asarray(l, dtype=float)[None, :]
-        strengths = self._strengths(L)
-        K = _series_degree(float(strengths[0]), self.tol, self.max_degree)
-        out, err = self._evaluate(L, strengths, K)
-        return out[0].item(), float(err[0]), K
+    def _majorant(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, s and C_m = sum_j |det_j| sum_{|pi| = m} prod_{b in pi} d_b s,
+        with d_x s = sum_y (|B_xy| + |B_yx|) sqrt(l_y / l_x) / 2 and d_x d_y s =
+        (|B_xy| + |B_yx|) / (4 sqrt(l_x l_y)); ``sums[Q]`` holds the inner sum
+        for Q by |pi|, built up over the subsets of the derivative sites."""
+        S = np.abs(self.B) + np.abs(self.B).T
+        sql = np.sqrt(L)
+        d1 = (sql @ S) / (2.0 * sql)
+        sums = {(): np.ones((len(L), 1))}
+        sites = sorted({x for Q, _ in self.terms for x in Q})
+        for size in range(1, len(sites) + 1):
+            for Q in itertools.combinations(sites, size):
+                x, rest = Q[0], Q[1:]
+                sums[Q] = np.zeros((len(L), size + 1))
+                sums[Q][:, 1:] = d1[:, [x]] * sums[rest]  # x alone
+                for i, y in enumerate(rest):  # x paired with y
+                    pair = S[x, y] / (4.0 * sql[:, x] * sql[:, y])
+                    sums[Q][:, 1:-1] += pair[:, None] * sums[rest[:i] + rest[i + 1 :]]
 
-    def value(self, l: np.ndarray):
-        """Value at one local-time vector and its factorial tail bound."""
-        return self._point(l)[:2]
+        C = np.zeros((len(L), 1 + max((len(Q) for Q, _ in self.terms), default=0)))
+        for Q, det in self.terms:
+            C[:, : len(Q) + 1] += abs(det) * sums[tuple(Q)]
+        return 0.5 * np.einsum("xy,ix,iy->i", S, sql, sql), C
 
-    def values(self, L: np.ndarray):
-        """Vectorized evaluation over rows of ``L`` (each a local-time vector).
+    def _sum(self, L: np.ndarray, degree: int | None = None):
+        """Values at the rows of ``L``, their truncation bounds and the
+        degree summed through: ``degree`` if given, else the stopping degree.
 
-        Returns the values and each row's factorial tail bound, truncated
-        at one degree chosen for the largest strength.  Raises
-        ``ConvergenceError`` when that degree reaches ``max_degree`` and
-        some row's bound exceeds ``tol`` times its value, the test
-        ``value`` applies.
+        The stop is tested with T(s, k) <= min(e^s, s^(k+1) / (k+1)! /
+        (1 - s / (k+2))), the second for s < k + 2; the bound reported is the
+        exact tail e^s P(k + 1, s), P the regularized incomplete gamma, or
+        that closed form where rounding puts it lower.  Past degree K the
+        partial sum stays within |partial_K| + 2 b_K of zero, b_K the bound
+        at K, so each pass sums through the first degree where every bound,
+        falling with the degree, is within tol of that, found by bisection.
         """
         L = np.asarray(L, dtype=float)
-        strengths = self._strengths(L)
-        K = _series_degree(float(strengths.max()), self.tol * 1e-2, self.max_degree)
-        return self._evaluate(L, strengths, K)
+        logL, prefactor = np.log(L), np.exp(L @ self.diag)
+        # per row and term: det times the factors 1/(2 l_x) of the derivatives
+        scale = np.empty((len(L), len(self.terms)))
+        for j, (Q, det) in enumerate(self.terms):
+            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
+        s, C = self._majorant(L)
+        m = np.arange(C.shape[1])
+        with np.errstate(over="ignore", divide="ignore"):
+            es, log_s = np.exp(s)[:, None], np.log(s)[:, None]
+
+        def tail(K: int) -> np.ndarray:
+            k = np.maximum(K - m, 0)
+            r = s[:, None] / (k + 2)
+            t = np.exp((k + 1) * log_s - gammaln(k + 2), out=np.zeros(r.shape), where=r < 1)
+            T = np.minimum(es, np.divide(t, 1 - r, out=np.full(r.shape, np.inf), where=r < 1))
+            return np.einsum("im,im->i", C, np.where(K - m < 0, es, T))
+
+        def bound(K: int) -> np.ndarray:
+            with np.errstate(invalid="ignore", over="ignore"):
+                T = es * np.where(K >= m, gammainc(np.maximum(K - m, 0) + 1, s[:, None]), 1.0)
+                return np.abs(prefactor) * np.minimum(np.einsum("im,im->i", C, T), tail(K))
+
+        if degree is not None:
+            return prefactor * self._pass_sum(logL, scale, -1, degree), bound(degree), degree
+        total, K = np.zeros(len(L)), -1
+        while True:
+            reach = self.tol * (np.abs(total) + 2 * tail(K))
+            degrees = range(K + 1, self.max_degree + 1)
+            hi = K + 1 + bisect_left(degrees, True, key=lambda k: bool(np.all(tail(k) <= reach)))
+            if hi > self.max_degree:
+                raise ConvergenceError(f"flow series not converged at degree {self.max_degree}")
+            total = total + self._pass_sum(logL, scale, K, hi)
+            # written so that a nan bound (overflowed tail) does not stop
+            if np.all(tail(hi) <= self.tol * np.abs(total)):
+                return prefactor * total, bound(hi), hi
+            K = hi
+
+    def value(self, l: np.ndarray):
+        """Value at one local-time vector and its truncation bound."""
+        out, err, _ = self._sum(np.asarray(l, dtype=float)[None, :])
+        return out[0].item(), float(err[0])
+
+    def values(self, L: np.ndarray):
+        """Values and truncation bounds at the rows of ``L``, all summed through
+        the one stopping degree; raises ``ConvergenceError`` past
+        ``max_degree`` and ``CapacityError`` past ``FLOW_LIMIT``."""
+        return self._sum(L)[:2]
 
 
 def theta_integral_series(B_tilde, l, tol: float = 1e-12):
@@ -403,14 +400,13 @@ def theta_integral_series(B_tilde, l, tol: float = 1e-12):
 
     Diagonal entries contribute a plain exponential factor and are split off
     first.  Works for real or complex matrices.  Returns ``(value,
-    tail_bound)``, the bound being ``_factorial_tail`` of the strength.
+    tail_bound)``, summed until the bound is at most ``tol`` times the value.
     """
     B = np.asarray(B_tilde)
     l = np.asarray(l, dtype=float)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = B.shape[0]
-    if B.shape != (n, n) or l.shape != (n,):
+    if l.ndim != 1 or B.shape != (len(l), len(l)):
         raise ValueError("B_tilde must be square and match l")
     return _FlowSeries(B, [((), 1.0)], tol).value(l)
 
@@ -463,24 +459,21 @@ class SeriesEvaluator(_FlowSeries):
     def __init__(self, gen: Generator, spec: RangeSpec, tol: float = 1e-10, max_degree: int = 80):
         A = gen.submatrix(spec.range)
         B = A - np.diag(np.diag(A))
-        a_pos = spec.range.index(spec.start)
-        b_pos = spec.range.index(spec.end)
-        terms = [(list(Q), det) for Q, det in _derivative_expansion(B, a_pos, b_pos) if det != 0.0]
+        pairs = _derivative_expansion(B, spec.range.index(spec.start), spec.range.index(spec.end))
+        terms = [(list(Q), det) for Q, det in pairs if det != 0.0]
         super().__init__(A, terms, tol, max_degree)
 
 
 def density_series(gen: Generator, spec: RangeSpec, l, tol: float = 1e-10) -> DensityResult:
     """Flow-series evaluation of the local-time density."""
-    lv = as_times(spec, l)
-    ev = SeriesEvaluator(gen, spec, tol=tol)
-    value, err, K = ev._point(lv)
-    powers, _, flows = ev._monomial_weights(K)
+    value, err, K = SeriesEvaluator(gen, spec, tol=tol)._sum(as_times(spec, l)[None, :])
+    flows, monomials = _FLOW_TABLES[spec.size].sizes(K)
     return DensityResult(
-        value=value,
+        value=value[0].item(),
         method="series",
-        error_estimate=err,
+        error_estimate=float(err[0]),
         meta={"tol": tol, "range_size": spec.size, "degree": K, "flows": flows,
-              "monomials": len(powers)},
+              "monomials": monomials},
     )
 
 
@@ -660,17 +653,16 @@ def gauge_invariance_check(gen: Generator, spec: RangeSpec, l, r, tol: float = 1
     """Deviation of the density when the integrand's jump rates are
     conjugated by a positive radius vector; exactly zero in theory.
 
-    The conjugated series is truncated at the degree the density itself
-    needs.  Every balanced flow's coefficient is invariant under the
-    conjugation, so the two truncations agree termwise and the deviation
-    measures rounding, not truncation, at any tolerance."""
+    Both series are summed through the degree the density itself needs.
+    Every balanced flow's coefficient is invariant under the conjugation,
+    so the two truncations agree termwise and the deviation measures
+    rounding, not truncation, at any tolerance."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius vector must be strictly positive")
-    lv = as_times(spec, l)
+    L = as_times(spec, l)[None, :]
     base = SeriesEvaluator(gen, spec, tol=tol)
-    value, _, K = base._point(lv)
+    K = base._sum(L)[2]
     conj = (r[:, None] * base.B) / r[None, :]
     twisted = _FlowSeries(np.diag(base.diag) + conj, base.terms, tol)
-    L = lv[None, :]
-    return float(abs(value - twisted._evaluate(L, base._strengths(L), K)[0][0]))
+    return float(abs(base._sum(L, degree=K)[0][0] - twisted._sum(L, degree=K)[0][0]))

@@ -282,6 +282,11 @@ class DeviationBoundRhs:
     spread: float  # spread of optima across the restarts that ended in the set
 
 
+def _error_terms(n_sites: int, eta: float, T: float) -> float:
+    """The upper bound's error terms: |S| log(eta sqrt(8e) T) + log|S| + |S|/(4T)."""
+    return n_sites * np.log(eta * np.sqrt(8 * np.e) * T) + np.log(n_sites) + n_sites / (4.0 * T)
+
+
 def ldp_upper_bound_rhs(
     gen: Generator,
     S: Sequence[Hashable],
@@ -311,7 +316,7 @@ def ldp_upper_bound_rhs(
         raise ValueError("the upper bound is stated for symmetric generators")
     eta = jump_rate_bound(gen, S)
     n = len(S)
-    errors = n * np.log(eta * np.sqrt(8 * np.e) * T) + np.log(n) + n / (4.0 * T)
+    errors = _error_terms(n, eta, T)
 
     rng = np.random.default_rng(seed)
     starts = (np.sqrt(np.full(n, 1.0 / n) if k == 0 else rng.dirichlet(np.ones(n)))
@@ -507,7 +512,7 @@ def rescaled_bound_experiment(
         eta = max(2.0 * dim, 1.0)
         chi = chi_discrete(dim, radius, n_per_axis, functional,
                            n_restarts=n_restarts, seed=seed)
-        error_terms = n_sites * np.log(eta * np.sqrt(8 * np.e) * T) + np.log(n_sites) + n_sites / (4.0 * T)
+        error_terms = _error_terms(n_sites, eta, T)
         scaled_errors = (alpha ** 2 / T) * error_terms
         rows.append(
             {

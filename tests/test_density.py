@@ -19,13 +19,12 @@ from loctimes.density import (
     local_time_density,
     theta_integral_series,
     _derivative_expansion,
-    _factorial_tail,
     _flow_table,
+    _FlowSeries,
     _FlowTable,
     _FLOW_TABLES,
     _LOG_FACT,
     _quadrature_integrand,
-    _series_degree,
 )
 
 # frozen reference values (independently computed Bessel series)
@@ -387,8 +386,7 @@ def test_theta_monomial_sum_matches_flow_sum():
         np.fill_diagonal(B, 0.0)
         for M in (B, B * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, n)))):
             value, _ = theta_integral_series(M, l, tol=1e-9)
-            sql = np.sqrt(l)
-            K = _series_degree(float(np.sum(np.abs(M) * np.outer(sql, sql))), 1e-9, 80)
+            K = _FlowSeries(M, [((), 1.0)], 1e-9)._sum(l[None, :])[2]
             (expected,) = flow_sums(M, l, K, [()])
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
@@ -402,8 +400,7 @@ def test_theta_complex_diagonal():
     value, err = theta_integral_series(M, l)
     assert isinstance(err, float) and err >= 0.0
     off = M - np.diag(np.diag(M))
-    sql = np.sqrt(l)
-    K = _series_degree(float(np.sum(np.abs(off) * np.outer(sql, sql))), 1e-12, 80)
+    K = _FlowSeries(M, [((), 1.0)], 1e-12)._sum(l[None, :])[2]
     (expected,) = flow_sums(off, l, K, [()])
     expected *= np.exp(np.diag(M) @ l)
     assert abs(value - expected) <= 1e-12 * abs(expected)
@@ -421,9 +418,7 @@ def test_series_monomial_sum_matches_flow_sum(n, start, end):
         expected = explicit_density(gen, spec, l, res.meta["degree"])
         assert abs(res.value - expected) <= 1e-12 * abs(expected)
     ev = SeriesEvaluator(gen, spec)
-    vals, _ = ev.values(L)
-    B = gen.off_diagonal()
-    K = _series_degree(max(np.sum(B * np.sqrt(np.outer(l, l))) for l in L), 1e-12, 80)
+    vals, _, K = ev._sum(L)
     for l, v in zip(L, vals):
         expected = explicit_density(gen, spec, l, K)
         assert abs(v - expected) <= 1e-12 * abs(expected)
@@ -466,13 +461,75 @@ def test_tail_bound_covers_truncation_error(spec, l, max_degree):
 
 
 
-@pytest.mark.parametrize("s, K, q", [(0.54, 14, 0), (103.0, 80, 0), (3.0, 10, 2)])
-def test_factorial_tail_sum_matches_mpmath(s, K, q):
-    mpmath.mp.dps = 40
-    exact = mpmath.nsum(lambda k: k ** q * mpmath.mpf(s) ** k / mpmath.factorial(k),
-                        [K + 1, mpmath.inf])
-    got = _factorial_tail(np.array([s]), K, q)[0]
-    assert abs(got / float(exact) - 1) <= 1e-13
+@pytest.mark.parametrize("spec, l", [
+    (spec, l) for spec in (SPEC_AB, SPEC_AA) for l in ((1.0, 1.5), (2.0, 0.5), (1e-3, 1e-3))
+])
+def test_two_state_bound_covers_truncation_at_every_degree(spec, l):
+    # the closed forms of test_tail_bound_covers_truncation_error at 50
+    # digits, against the series cut at each degree K; past the degree
+    # where the error meets rounding, the monomials exp(deg/2 log l) are
+    # allowed about |deg log l| ulps
+    mpmath.mp.dps = 50
+    l0, l1 = (mpmath.mpf(x) for x in l)
+    z = 2 * mpmath.sqrt(l0 * l1)
+    if spec.end == 1:
+        exact = mpmath.exp(-(l0 + l1)) * mpmath.besseli(0, z)
+    else:
+        exact = mpmath.exp(-(l0 + l1)) * mpmath.sqrt(l0 / l1) * mpmath.besseli(1, z)
+    ev = SeriesEvaluator(TWO_STATE, spec)
+    for K in range(13):
+        (value,), (err,), _ = ev._sum(np.array([l]), degree=K)
+        assert float(abs(mpmath.mpf(value) - exact)) <= err + 1e-14 * float(exact)
+
+
+@pytest.mark.parametrize("l", [1e-4, 1e-2, 1.0])
+def test_bound_covers_truncation_with_two_derivatives(l):
+    # 0 -> 1 on four sites differentiates in both free sites, Q = {2, 3};
+    # the reference is the series summed 8 degrees further
+    gen = random_generator(4, np.random.default_rng(37))
+    spec = RangeSpec((0, 1, 2, 3), 0, 1)
+    ev = SeriesEvaluator(gen, spec)
+    assert max(len(Q) for Q, _ in ev.terms) == 2
+    L = np.full((1, 4), l)
+    for K in range(13):
+        (value,), (err,), _ = ev._sum(L, degree=K)
+        (ref,), _, _ = ev._sum(L, degree=K + 8)
+        assert abs(value - ref) <= err + 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("l", [(0.3, 0.2, 0.4, 0.1), (1e-3, 2e-3, 1e-2, 5e-3)])
+def test_bound_is_the_majorant_derivative(l):
+    # the reported bound is |e^{diag l}| sum_j |det_j| d_Q T(s(l), K), with
+    # T(s, K) = e^s - sum_{i<=K} s^i / i!, differentiated here by mpmath at
+    # 30 digits rather than through the partitions of Q
+    gen = random_generator(4, np.random.default_rng(37))
+    ev = SeriesEvaluator(gen, RangeSpec((0, 1, 2, 3), 0, 1))
+    mpmath.mp.dps = 30
+    absB = np.abs(ev.B)
+    pairs = [(x, y) for x in range(4) for y in range(4) if x != y]
+    for K in (0, 1, 2, 5, 9):
+        def tail(*x):
+            s = sum(mpmath.mpf(absB[a, b]) * mpmath.sqrt(x[a] * x[b]) for a, b in pairs)
+            return mpmath.exp(s) - sum(s ** i / mpmath.factorial(i) for i in range(K + 1))
+
+        ref = sum(abs(det) * mpmath.diff(tail, l, [int(x in Q) for x in range(4)])
+                  for Q, det in ev.terms) * mpmath.exp(np.dot(ev.diag, l))
+        (_,), (err,), _ = ev._sum(np.array([l]), degree=K)
+        assert abs(err / float(ref) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_series_meets_tol_at_small_local_times(tol):
+    # at l = 1e-4 the derivative factors 1 / (2 l_x) make the tail past a
+    # degree far larger than the strength alone suggests; a degree chosen
+    # from the strength stopped at 5 for tol 1e-9, 2.7e-7 relative off,
+    # and at 6 for tol 1e-12, 8.4e-11 off
+    gen = random_generator(6, np.random.default_rng(41))
+    spec = RangeSpec(tuple(range(6)), 0, 1)
+    res = density_series(gen, spec, [1e-4] * 6, tol=tol)
+    ev = SeriesEvaluator(gen, spec, tol=tol)
+    (ref,), _, _ = ev._sum(np.full((1, 6), 1e-4), degree=res.meta["degree"] + 2)
+    assert abs(res.value - ref) <= res.error_estimate <= tol * abs(res.value)
 
 
 def test_quadrature_node_limit_raises_before_allocating(monkeypatch):
@@ -579,13 +636,16 @@ def test_router_takes_quadrature_at_t8_without_a_flow_table():
     assert {size: tab.max_degree for size, tab in _FLOW_TABLES.items()} == tables
 
 
-def test_router_takes_series_past_the_node_limit():
+def test_router_takes_series_past_the_node_limit(monkeypatch):
     # 11 nodes on each of 7 angles and 15 on the confirming grid: 1.9e8
-    # nodes, past QUADRATURE_NODE_LIMIT, while the series stops at degree 6
+    # nodes, past QUADRATURE_NODE_LIMIT; the route is chosen before any
+    # evaluation, so the series is recorded rather than run (here it
+    # needs degree 9, past FLOW_LIMIT)
+    calls = []
+    monkeypatch.setattr("loctimes.density.density_series", lambda *args, **kw: calls.append(args))
     gen = random_generator(8, np.random.default_rng(41))
-    res = local_time_density(gen, RangeSpec(tuple(range(8)), 0, 1), [1e-4] * 8)
-    assert res.method == "series"
-    assert res.meta["degree"] == 6
+    local_time_density(gen, RangeSpec(tuple(range(8)), 0, 1), [1e-4] * 8)
+    assert len(calls) == 1
 
 
 def test_gauge_check_truncates_at_the_density_degree():
