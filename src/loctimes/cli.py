@@ -316,10 +316,9 @@ def cmd_rescaled(cfg, args):
 
 
 def cmd_rayknight_test(cfg, args):
-    b = args.b if args.b is not None else int(cfg.get("b", 3))
-    h = args.h if args.h is not None else float(cfg.get("h", 1.0))
     n_paths = args.paths or int(cfg.get("paths", 100_000))
-    report = rk_statistical_test(b=b, h=h, n_paths=n_paths, seed=args.seed)
+    report = rk_statistical_test(b=int(cfg.get("b", 3)), h=float(cfg.get("h", 1.0)),
+                                 n_paths=n_paths, seed=args.seed)
     table = Table(["test", "statistic", "threshold", "p_value", "passed", "seed"])
     for row in report.rows():
         table.add(seed=args.seed, **row)
@@ -378,9 +377,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--assert", dest="assert_checks", action="store_true",
                        help="exit nonzero if the command's consistency check fails")
         p.add_argument("--no-timestamp", action="store_true")
-        if name == "rayknight-test":
-            p.add_argument("--b", type=int, default=None)
-            p.add_argument("--h", type=float, default=None)
     return parser
 
 

@@ -21,9 +21,10 @@ evaluators are meant for the open simplex only.
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import comb, factorial, prod
+from math import prod
 from typing import Mapping
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 FLOW_LIMIT = 2_000_000
+MAX_DEGREE = 80
 QUADRATURE_NODE_LIMIT = 2 ** 24
 
 
@@ -114,25 +116,39 @@ def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], inverse
 
 
-def _simple_cycles(size: int, longest: int) -> np.ndarray:
-    """Edge-count rows (flattened ``size`` x ``size``) of the simple directed
-    cycles of at most ``longest`` sites in the complete digraph on ``size``
-    sites, each once, shortest first."""
-    rows = []
-    for length in range(2, longest + 1):
-        for sites in itertools.combinations(range(size), length):
-            for rest in itertools.permutations(sites[1:]):
-                cycle = (sites[0],) + rest
-                row = np.zeros(size * size, dtype=np.int64)
-                row[[a * size + b for a, b in zip(cycle, cycle[1:] + cycle[:1])]] = 1
-                rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(-1, size * size)
+def _simple_cycles(support: np.ndarray, longest: int) -> np.ndarray:
+    """Edge-count rows, over the support's edges in row-major order, of the
+    simple cycles of at most ``longest`` sites on the digraph ``support``,
+    each found once by backtracking from its smallest site; past
+    ``FLOW_LIMIT`` of them, each itself a flow, it raises ``CapacityError``."""
+    n = len(support)
+    edge = (np.cumsum(support) - 1).reshape(n, n).tolist()  # a support edge's index
+    succ = [np.flatnonzero(row).tolist() for row in support]
+    flat, lengths, stack = array("i"), [], []  # the cycles' edges, their lengths, the path's edges
+
+    def grow(start: int, x: int, visited: int):  # visited: one bit per site on the path
+        for y in succ[x]:
+            stack.append(edge[x][y])
+            if y == start:
+                flat.extend(stack)
+                lengths.append(len(stack))
+                if len(lengths) > FLOW_LIMIT:
+                    raise CapacityError(f"more than {FLOW_LIMIT} simple cycles on {n} sites")
+            elif y > start and not visited >> y & 1 and len(stack) < longest:
+                grow(start, y, visited | 1 << y)
+            stack.pop()
+
+    for x in range(n):
+        grow(x, x, 0)
+    rows = np.zeros((len(lengths), int(support.sum())), dtype=np.int64)
+    rows[np.repeat(np.arange(len(lengths)), lengths), flat] = 1
+    return rows
 
 
 class _FlowTable:
-    """Balanced flows on ``size`` sites, complete through degree
-    ``max_degree``, stored column-flattened for vectorized coefficient
-    evaluation.
+    """Balanced flows on the digraph ``support``, complete through degree
+    ``max_degree``, stored as counts on the support's edges in row-major
+    order; a flow with a count off the support has coefficient 0.
 
     A flow enters the series only through its coefficient and its
     monomial prod_x l_x^{deg_x/2}, where deg_x is the in + out degree at
@@ -144,46 +160,43 @@ class _FlowTable:
 
     ``extend`` appends one layer per degree.  Every balanced flow is a sum
     of simple directed cycles (flow decomposition), so the flows of degree
-    k are those of degree k - |c| plus a cycle c, deduplicated.  A flow is
-    held as a packed key of its off-diagonal counts, so adding a cycle is
-    an integer add, and sorting the keys both deduplicates a layer and puts
-    it in lexicographic order.  Every cycle through an edge adds at least
-    2 to the degree, so no count exceeds K // 2.
+    k are those of degree k - |c| plus a cycle c of the support,
+    deduplicated.  A flow is held as a packed key of its counts, so adding
+    a cycle is an integer add, and sorting the keys both deduplicates a
+    layer and puts it in lexicographic order.  Every cycle through an edge
+    adds at least 2 to the degree, so no count exceeds K // 2.
     """
 
     _LAYERED = ("counts", "degree", "inv_factorial", "powers", "monomial", "monomial_degree")
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self, support: np.ndarray):
+        n = len(support)
+        self.support = support
+        x, y = np.nonzero(support)
+        self.ends = np.eye(n, dtype=np.int64)[x] + np.eye(n, dtype=np.int64)[y]  # per edge
         self.max_degree = -1
-        self.counts = np.zeros((0, size * size), dtype=np.int64)
+        self.counts = np.zeros((0, len(x)), dtype=np.int64)
         self.degree = np.zeros(0, dtype=np.int64)
         self.inv_factorial = np.zeros(0)
-        self.powers = np.zeros((0, size))
+        self.powers = np.zeros((0, n))
         self.monomial = np.zeros(0, dtype=np.intp)
         self.monomial_degree = np.zeros(0, dtype=np.int64)
 
-    def extend(self, max_degree: int, limit: int = FLOW_LIMIT):
+    def extend(self, max_degree: int):
         """Append the layers through ``max_degree``.  Raises
         ``CapacityError`` when a layer would take the flow count past
-        ``limit``; the layers below it are kept."""
+        ``FLOW_LIMIT``; the layers below it are kept."""
         if max_degree <= self.max_degree:
             return
-        n = self.size
-        full = CapacityError(f"more than {limit} balanced flows at size={n}, degree<={max_degree}")
-        # each simple cycle of at most max_degree sites is itself a flow
-        longest = min(n, max_degree)
-        if 1 + sum(comb(n, m) * factorial(m - 1) for m in range(2, longest + 1)) > limit:
-            raise full
-        off = ~np.eye(n, dtype=bool).ravel()
+        n_edges, n = self.ends.shape
         bits = max(1, (max_degree // 2).bit_length())
-        flows, sites = _Packing(n * (n - 1), bits), _Packing(n, bits)
-        rows = _simple_cycles(n, longest)
-        cycles = list(zip(flows.pack(rows[:, off]), rows.sum(axis=1)))
+        flows, sites = _Packing(n_edges, bits), _Packing(n, bits)
+        rows = _simple_cycles(self.support, min(n, max_degree))
+        cycles = list(zip(flows.pack(rows), rows.sum(axis=1)))
         keys = {}  # degree -> the layer's sorted keys
         for k in range(max(0, self.max_degree + 1 - n), self.max_degree + 1):
             lo, hi = np.searchsorted(self.degree, [k, k + 1])
-            keys[k] = flows.pack(self.counts[lo:hi, off])
+            keys[k] = flows.pack(self.counts[lo:hi])
         parts = {name: [getattr(self, name)] for name in self._LAYERED}
         total, n_monomials = len(self.counts), len(self.powers)
         try:
@@ -199,16 +212,13 @@ class _FlowTable:
                     if pending and (i == len(cycles) - 1 or waiting > len(layer)):
                         layer = _unique_rows(np.concatenate([layer, *pending]))[0]
                         pending, waiting = [], 0
-                        if total + len(layer) > limit:
+                        if total + len(layer) > FLOW_LIMIT:
                             break
-                if total + len(layer) > limit:
-                    raise full
+                if total + len(layer) > FLOW_LIMIT:
+                    raise CapacityError(f"more than {FLOW_LIMIT} balanced flows at degree <= {k}")
                 keys[k] = layer
-                counts = np.zeros((len(layer), n * n), dtype=np.int64)
-                counts[:, off] = flows.unpack(layer)
-                sq = counts.reshape(-1, n, n)
-                half = (sq.sum(axis=1) + sq.sum(axis=2)) // 2  # in + out, halved
-                rows, index = _unique_rows(sites.pack(half))
+                counts = np.ascontiguousarray(flows.unpack(layer))
+                rows, index = _unique_rows(sites.pack(counts @ self.ends // 2))  # in + out, halved
                 new = {
                     "counts": counts,
                     "degree": np.full(len(layer), k, dtype=np.int64),
@@ -233,16 +243,7 @@ class _FlowTable:
 
 
 _LOG_FACT = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 200)))))
-_FLOW_TABLES: dict[int, _FlowTable] = {}
-
-
-def _flow_table(size: int, max_degree: int, limit: int = FLOW_LIMIT) -> _FlowTable:
-    """The shared table for ``size`` sites, extended through ``max_degree``."""
-    if size not in _FLOW_TABLES:
-        _FLOW_TABLES[size] = _FlowTable(size)
-    tab = _FLOW_TABLES[size]
-    tab.extend(max_degree, limit)
-    return tab
+_FLOW_TABLES: dict[bytes, _FlowTable] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +267,26 @@ class _FlowSeries:
     two sites, T(s, k) = sum_{i>k} s^i / i! (e^s for k < 0).
     """
 
-    def __init__(self, A: np.ndarray, terms: list, tol: float, max_degree: int = 80):
+    def __init__(self, A: np.ndarray, terms: list, tol: float):
         self.diag = np.diag(A).copy()
         self.B = A - np.diag(self.diag)
+        support = self.B != 0
+        self.rates = self.B[support]  # in the order of the table's edges
+        key = support.tobytes()  # one table per support pattern; n^2 bytes fix n
+        if key not in _FLOW_TABLES:
+            _FLOW_TABLES[key] = _FlowTable(support)
+        self.table = _FLOW_TABLES[key]
         self.terms = terms
         self.tol = tol
-        self.max_degree = max_degree
         self._W, self._through = np.zeros((0, len(terms))), -1
 
     def _weights(self, K: int) -> np.ndarray:
         """Per monomial of degree <= K and per term: the summed coefficients
         prod B_xy^n_xy / n_xy! of its flows times prod_{x in Q} deg_x."""
         if K > self._through:
-            tab = _FLOW_TABLES[len(self.diag)]
+            tab = self.table
             (f0, m0), (f1, m1) = tab.sizes(self._through), tab.sizes(K)
-            coeff = np.prod(self.B.ravel() ** tab.counts[f0:f1], axis=1) * tab.inv_factorial[f0:f1]
+            coeff = np.prod(self.rates ** tab.counts[f0:f1], axis=1) * tab.inv_factorial[f0:f1]
             agg = np.zeros(m1 - m0, dtype=coeff.dtype)
             np.add.at(agg, tab.monomial[f0:f1] - m0, coeff)
             W = np.empty((m1 - m0, len(self.terms)), dtype=agg.dtype)
@@ -292,7 +298,8 @@ class _FlowSeries:
     def _pass_sum(self, logL: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Per row of ``logL`` = log(L), the share of the degrees lo+1 .. hi
         in the series, before the factor exp(diag . l)."""
-        tab = _flow_table(len(self.diag), hi)
+        tab = self.table
+        tab.extend(hi)
         m0, m1 = tab.sizes(lo)[1], tab.sizes(hi)[1]
         W, powers = self._weights(hi)[m0:m1], tab.powers[m0:m1]
         out = np.empty(len(logL), dtype=W.dtype)
@@ -372,10 +379,10 @@ class _FlowSeries:
         total, K = np.zeros(len(L)), -1
         while True:
             reach = self.tol * (np.abs(total) + 2 * tail(K))
-            degrees = range(K + 1, self.max_degree + 1)
+            degrees = range(K + 1, MAX_DEGREE + 1)
             hi = K + 1 + bisect_left(degrees, True, key=lambda k: bool(np.all(tail(k) <= reach)))
-            if hi > self.max_degree:
-                raise ConvergenceError(f"flow series not converged at degree {self.max_degree}")
+            if hi > MAX_DEGREE:
+                raise ConvergenceError(f"flow series not converged at degree {MAX_DEGREE}")
             total = total + self._pass_sum(logL, scale, K, hi)
             # written so that a nan bound (overflowed tail) does not stop
             if np.all(tail(hi) <= self.tol * np.abs(total)):
@@ -390,7 +397,7 @@ class _FlowSeries:
     def values(self, L: np.ndarray):
         """Values and truncation bounds at the rows of ``L``, all summed through
         the one stopping degree; raises ``ConvergenceError`` past
-        ``max_degree`` and ``CapacityError`` past ``FLOW_LIMIT``."""
+        ``MAX_DEGREE`` and ``CapacityError`` past ``FLOW_LIMIT``."""
         return self._sum(L)[:2]
 
 
@@ -456,18 +463,19 @@ class SeriesEvaluator(_FlowSeries):
     """Flow-series density evaluator, reusable across many local-time
     vectors on the same (generator, range) pair."""
 
-    def __init__(self, gen: Generator, spec: RangeSpec, tol: float = 1e-10, max_degree: int = 80):
+    def __init__(self, gen: Generator, spec: RangeSpec, tol: float = 1e-10):
         A = gen.submatrix(spec.range)
         B = A - np.diag(np.diag(A))
         pairs = _derivative_expansion(B, spec.range.index(spec.start), spec.range.index(spec.end))
         terms = [(list(Q), det) for Q, det in pairs if det != 0.0]
-        super().__init__(A, terms, tol, max_degree)
+        super().__init__(A, terms, tol)
 
 
 def density_series(gen: Generator, spec: RangeSpec, l, tol: float = 1e-10) -> DensityResult:
     """Flow-series evaluation of the local-time density."""
-    value, err, K = SeriesEvaluator(gen, spec, tol=tol)._sum(as_times(spec, l)[None, :])
-    flows, monomials = _FLOW_TABLES[spec.size].sizes(K)
+    ev = SeriesEvaluator(gen, spec, tol=tol)
+    value, err, K = ev._sum(as_times(spec, l)[None, :])
+    flows, monomials = ev.table.sizes(K)
     return DensityResult(
         value=value[0].item(),
         method="series",

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from math import factorial
 
 import mpmath
@@ -8,7 +9,6 @@ from scipy.special import ive
 
 from loctimes.chain import RangeSpec, box_srw, validate_generator
 from loctimes.density import (
-    FLOW_LIMIT,
     CapacityError,
     ConvergenceError,
     SeriesEvaluator,
@@ -19,12 +19,12 @@ from loctimes.density import (
     local_time_density,
     theta_integral_series,
     _derivative_expansion,
-    _flow_table,
     _FlowSeries,
     _FlowTable,
     _FLOW_TABLES,
     _LOG_FACT,
     _quadrature_integrand,
+    _simple_cycles,
 )
 
 # frozen reference values (independently computed Bessel series)
@@ -37,6 +37,19 @@ TWO_STATE = validate_generator([[-1, 1], [1, -1]])
 SPEC_AA = RangeSpec((0, 1), 0, 0)
 SPEC_AB = RangeSpec((0, 1), 0, 1)
 L_UNIT = {0: 1.0, 1: 1.0}
+SQUARE = RangeSpec(((0, 0), (0, 1), (1, 0), (1, 1)), (0, 0), (1, 1))  # in box_srw(2, 1)
+
+
+def complete(n):
+    """The support of a chain that jumps between any two of n sites."""
+    return ~np.eye(n, dtype=bool)
+
+
+def shared_table(support, K):
+    """The flow table every series on ``support`` uses, extended through K."""
+    tab = _FlowSeries(support.astype(float), [((), 1.0)], 1e-10).table
+    tab.extend(K)
+    return tab
 
 
 def random_generator(n, rng, scale=0.8):
@@ -109,15 +122,17 @@ def flow_counts(n, K):
     return np.array(_enumerate_matrices(n, K), dtype=np.int64).reshape(-1, n, n)
 
 
-@functools.lru_cache(maxsize=None)
-def reference_table(size, K):
-    """The table's arrays from the reference enumeration, ordered by a
-    lexsort and grouped into monomials by ``np.unique``."""
-    counts = flow_counts(size, K).reshape(-1, size * size)
-    order = np.lexsort(tuple(counts[:, k] for k in range(size * size - 1, -1, -1)))
+def reference_table(support, K):
+    """The table's arrays from the reference enumeration: its flows with
+    no count off ``support``, with their counts on the support's edges in
+    row-major order, ordered by a lexsort and grouped into monomials by
+    ``np.unique``."""
+    sq = flow_counts(len(support), K)
+    sq = sq[~np.any(sq[:, ~support], axis=1)]
+    counts = np.ascontiguousarray(sq[:, support])
+    order = np.lexsort(counts.T[::-1])
     order = order[np.argsort(counts[order].sum(axis=1), kind="stable")]
-    counts = counts[order]
-    sq = counts.reshape(-1, size, size)
+    counts, sq = counts[order], sq[order]
     site_degree = sq.sum(axis=1) + sq.sum(axis=2)
     rows, index = np.unique(site_degree, axis=0, return_inverse=True)
     by_degree = np.argsort(rows.sum(axis=1), kind="stable")
@@ -132,9 +147,9 @@ def reference_table(size, K):
     }
 
 
-def assert_table_matches_reference(tab, size, K):
+def assert_table_matches_reference(tab, support, K):
     n_flows, n_monomials = tab.sizes(K)
-    ref = reference_table(size, K)
+    ref = reference_table(support, K)
     assert len(ref["counts"]) == n_flows and len(ref["powers"]) == n_monomials
     for name, expected in ref.items():
         got = getattr(tab, name)[: n_monomials if name in ("powers", "monomial_degree")
@@ -146,52 +161,109 @@ def assert_table_matches_reference(tab, size, K):
 @pytest.mark.parametrize("size, K", [(2, 16), (3, 20), (4, 14), (4, 18), (7, 4)])
 def test_flow_table_matches_reference(size, K):
     # at (7, 4), 42 off-diagonal counts of 2 bits take two key words
-    tab = _FlowTable(size)
+    tab = _FlowTable(complete(size))
     tab.extend(K)
     assert tab.max_degree == K
-    assert_table_matches_reference(tab, size, K)
+    assert_table_matches_reference(tab, complete(size), K)
+
+
+@pytest.mark.parametrize("support, K", [
+    (box_srw(1, 12).submatrix((0, 1, 2, 3)) > 0, 18),
+    (box_srw(2, 1).submatrix(SQUARE.range) > 0, 18),
+    (np.roll(np.eye(3, dtype=bool), 1, axis=1), 20),  # 0 -> 1 -> 2 -> 0 only
+    (np.triu(np.ones((3, 3), dtype=bool), 1), 20),
+], ids=["path", "square", "one-way-cycle", "acyclic"])
+def test_support_table_matches_reference(support, K):
+    # a flow with a count off the support has coefficient 0, so the table
+    # holds the reference's other flows, counted on the support's edges
+    tab = _FlowTable(support)
+    tab.extend(K)
+    assert_table_matches_reference(tab, support, K)
+
+
+def test_acyclic_support_has_only_the_zero_flow():
+    B = np.triu(np.random.default_rng(59).uniform(0.1, 0.8, (4, 4)), 1)
+    assert shared_table(B != 0, 30).sizes(30) == (1, 1)
+    # theta is 1; the bound, from the majorant e^s, does not see the support
+    value, err = theta_integral_series(B, np.array([0.3, 1.0, 2.0, 0.7]))
+    assert value == 1.0 and 0.0 < err <= 1e-12
+
+
+def reference_cycles(support, longest):
+    """The edge sets of the simple cycles of at most ``longest`` sites on
+    ``support``, from the permutations of every site subset."""
+    n = len(support)
+    edge = np.cumsum(support).reshape(n, n) - 1
+    out = set()
+    for m in range(2, longest + 1):
+        for sites in itertools.combinations(range(n), m):
+            for rest in itertools.permutations(sites[1:]):
+                cycle = (sites[0],) + rest
+                pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+                if all(support[x, y] for x, y in pairs):
+                    out.add(tuple(sorted(int(edge[x, y]) for x, y in pairs)))
+    return out
+
+
+def test_cycle_search_matches_permutations():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        support = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+        np.fill_diagonal(support, False)
+        longest = int(rng.integers(2, n + 1))
+        rows = _simple_cycles(support, longest)
+        assert rows.shape[1] == support.sum() and np.all((rows == 0) | (rows == 1))
+        cycles = [tuple(np.flatnonzero(row).tolist()) for row in rows]
+        assert len(set(cycles)) == len(cycles)
+        assert set(cycles) == reference_cycles(support, longest)
 
 
 def test_flow_table_extends_in_place():
-    tab = _FlowTable(4)
+    tab = _FlowTable(complete(4))
     tab.extend(12)
-    assert_table_matches_reference(tab, 4, 12)
+    assert_table_matches_reference(tab, complete(4), 12)
     tab.extend(18)
     assert tab.max_degree == 18
-    assert_table_matches_reference(tab, 4, 18)
-    assert _flow_table(4, 5) is _flow_table(4, 9)
+    assert_table_matches_reference(tab, complete(4), 18)
+    # one table per support pattern, shared by every series on it
+    assert shared_table(complete(4), 5) is shared_table(complete(4), 9)
+    assert shared_table(complete(4), 5) is not shared_table(np.triu(complete(4)), 5)
 
 
 def test_enumerate_flows_size2():
-    assert _flow_table(2, 0).sizes(0)[0] == 1
-    assert _flow_table(2, 4).sizes(4)[0] == 3  # n12 = n21 = k for k in 0..2
+    assert shared_table(complete(2), 0).sizes(0)[0] == 1
+    assert shared_table(complete(2), 4).sizes(4)[0] == 3  # n12 = n21 = k for k in 0..2
 
 
 def test_enumerate_flows_size3_degree2():
-    assert _flow_table(3, 2).sizes(2)[0] == 4  # zero flow plus the three 2-cycles
+    assert shared_table(complete(3), 2).sizes(2)[0] == 4  # zero flow plus the three 2-cycles
 
 
-def test_enumerate_flows_capacity_guard():
+def test_enumerate_flows_capacity_guard(monkeypatch):
+    monkeypatch.setattr("loctimes.density.FLOW_LIMIT", 100)
     with pytest.raises(CapacityError):
-        _flow_table(4, 40, limit=100)
+        shared_table(complete(4), 40)
     # the layer that passed the limit is dropped; those below it stay whole
-    tab = _FlowTable(4)
+    tab = _FlowTable(complete(4))
     with pytest.raises(CapacityError, match="more than 100 balanced flows"):
-        tab.extend(40, limit=100)
+        tab.extend(40)
     assert len(tab.counts) <= 100 < len(flow_counts(4, tab.max_degree + 1))
-    assert_table_matches_reference(tab, 4, tab.max_degree)
-    tab.extend(tab.max_degree + 1, limit=FLOW_LIMIT)
-    assert_table_matches_reference(tab, 4, tab.max_degree)
+    assert_table_matches_reference(tab, complete(4), tab.max_degree)
+    monkeypatch.undo()
+    tab.extend(tab.max_degree + 1)
+    assert_table_matches_reference(tab, complete(4), tab.max_degree)
     # the simple cycles of at most 12 of 12 sites already pass the limit
     with pytest.raises(CapacityError):
-        _FlowTable(12).extend(12)
+        _FlowTable(complete(12)).extend(12)
 
 
 def test_flow_balance_invariant():
-    tab = _flow_table(3, 4)
-    counts = tab.counts[: tab.sizes(4)[0]].reshape(-1, 3, 3)
+    tab = shared_table(complete(3), 4)
+    counts = np.zeros((tab.sizes(4)[0], 9), dtype=np.int64)
+    counts[:, complete(3).ravel()] = tab.counts[: len(counts)]
+    counts = counts.reshape(-1, 3, 3)
     assert np.all(counts.sum(axis=1) == counts.sum(axis=2))
-    assert np.all(counts[:, np.arange(3), np.arange(3)] == 0)
 
 
 def test_theta_series_zero_matrix():
@@ -425,7 +497,7 @@ def test_series_monomial_sum_matches_flow_sum(n, start, end):
 
 
 def test_monomial_counts_and_meta():
-    tab = _flow_table(4, 16)
+    tab = shared_table(complete(4), 16)
     assert tab.sizes(14) == (17782, 1380)
     assert tab.sizes(16) == (41293, 2205)
     gen = random_generator(4, np.random.default_rng(37))
@@ -440,7 +512,7 @@ def test_monomial_counts_and_meta():
     (SPEC_AA, (2.0, 0.5), 6),
     (SPEC_AB, (20.5148, 129.4852), 80),
 ])
-def test_tail_bound_covers_truncation_error(spec, l, max_degree):
+def test_tail_bound_covers_truncation_error(spec, l, max_degree, monkeypatch):
     # two-state closed forms at 50 digits: e^{-(l0+l1)} I_0(2 sqrt(l0 l1))
     # from 0 to 1, and e^{-(l0+l1)} sqrt(l0/l1) I_1(2 sqrt(l0 l1)) from 0 to 0
     mpmath.mp.dps = 50
@@ -451,7 +523,8 @@ def test_tail_bound_covers_truncation_error(spec, l, max_degree):
     else:
         exact = mpmath.exp(-(l0 + l1)) * mpmath.sqrt(l0 / l1) * mpmath.besseli(1, z)
     # a loose tolerance keeps the truncated sums from raising
-    ev = SeriesEvaluator(TWO_STATE, spec, tol=1e9, max_degree=max_degree)
+    monkeypatch.setattr("loctimes.density.MAX_DEGREE", max_degree)
+    ev = SeriesEvaluator(TWO_STATE, spec, tol=1e9)
     value, err = ev.value(np.array(l))
     vals, errs = ev.values(np.array([l]))
     for v, e in ((value, err), (vals[0], errs[0])):
@@ -626,14 +699,27 @@ def test_quadrature_rejects_nonpositive_tol(tol):
             fn(TWO_STATE, SPEC_AB, L_UNIT, tol=tol)
 
 
+@pytest.mark.parametrize("gen, spec, l", [
+    (box_srw(2, 1), SQUARE, [0.5] * 4),
+    (box_srw(2, 1), SQUARE, [1.0] * 4),
+    (box_srw(1, 2), RangeSpec((-2, -1, 0, 1), -2, 1), [2.0] * 4),
+], ids=["square-0.5", "square-1", "interval-t8"])
+def test_series_reaches_sparse_supports(gen, spec, l):
+    # on the walk's support the series needs 5,404, 30,349 and 2,300 flows
+    # here; the flows off it, with coefficient 0, pass FLOW_LIMIT
+    res = density_series(gen, spec, l)
+    ref = density_quadrature(gen, spec, l)
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
 def test_router_takes_quadrature_at_t8_without_a_flow_table():
-    # the series here needs a table past FLOW_LIMIT; the quadrature
-    # accepts a grid of 20,184 nodes
-    tables = {size: tab.max_degree for size, tab in _FLOW_TABLES.items()}
+    # the series here needs 2,300 flows on the walk's support, but the
+    # quadrature, which needs no table, accepts a grid of 20,184 nodes
+    tables = {key: tab.max_degree for key, tab in _FLOW_TABLES.items()}
     spec = RangeSpec((-2, -1, 0, 1), -2, 1)
     res = local_time_density(box_srw(1, 2), spec, [2.0] * 4)
     assert res.method == "quadrature"
-    assert {size: tab.max_degree for size, tab in _FLOW_TABLES.items()} == tables
+    assert {key: tab.max_degree for key, tab in _FLOW_TABLES.items()} == tables
 
 
 def test_router_takes_series_past_the_node_limit(monkeypatch):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, skellam
 
 from loctimes.chain import RangeSpec, box_srw
-from loctimes.density import density_quadrature
+from loctimes.density import density_quadrature, density_series
 from loctimes.rayknight import (
     ProfileBatch,
     bessel_i,
@@ -226,3 +226,15 @@ def test_density_is_the_kernel_product(lo, hi, b, scale):
     want = _kernel_product(lo, hi, b, l)
     assert abs(res.value - want) <= 1e-9 * want
     assert abs(res.value - want) <= res.error_estimate + 1e-15 * want
+
+
+@pytest.mark.parametrize("lo, hi, b", [(-1, 1, 1), (-2, 1, 0), (-2, 2, -1), (-2, 3, 2), (-3, 3, 1)])
+def test_series_is_the_kernel_product(lo, hi, b):
+    # the walk's rates form a path, so its flow table holds that path's
+    # cycles alone; that keeps the series within FLOW_LIMIT on intervals
+    # of up to 7 sites at l near 1
+    l = np.random.default_rng([lo + 10, hi + 10, b + 10]).uniform(0.4, 1.6, hi - lo + 1)
+    res = density_series(box_srw(1, 12), RangeSpec(tuple(range(lo, hi + 1)), 0, b), l)
+    want = _kernel_product(lo, hi, b, l)
+    assert abs(res.value - want) <= 1e-10 * want
+    assert abs(res.value - want) <= res.error_estimate
