@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -71,6 +72,39 @@ class Generator:
 
     def exit_rates(self) -> np.ndarray:
         return -np.diag(self.rates)
+
+    @cached_property
+    def jump_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exit rates and padded per-state jump tables, built once from the
+        nonzero off-diagonal rates and read-only.
+
+        Row s of ``targets`` lists the states s jumps to, in state order, and
+        row s of ``cum`` the cumulative jump probability there, the last one
+        set to 1.0 against rounding; rows are padded to the largest
+        out-degree, ``cum`` with +inf.  A jump from s with uniform u in
+        [0, 1) goes to ``targets[s, (u >= cum[s]).sum()]``, the first target
+        whose cumulative probability exceeds u.  The rates cannot change, so
+        the stored table cannot go stale.
+        """
+        off, exit_rates = self.off_diagonal(), self.exit_rates()
+        src, dst = np.nonzero(off)  # row-major: each row's targets in state order
+        degree = np.bincount(src, minlength=self.n_states)
+        slot = np.arange(len(src)) - np.repeat(np.cumsum(degree) - degree, degree)
+        width = int(degree.max())
+        targets = np.zeros((self.n_states, width), dtype=np.intp)
+        targets[src, slot] = dst
+        cum = np.zeros((self.n_states, width))
+        cum[src, slot] = off[src, dst] / exit_rates[src]
+        # adding the dense row's zeros between targets is exact, so this is
+        # the dense cumulative row at each target
+        cum = np.cumsum(cum, axis=1)
+        cum[np.arange(width) >= degree[:, None]] = np.inf
+        # the lookup must never fall off the end of a row
+        moves = degree > 0
+        cum[moves, degree[moves] - 1] = 1.0
+        for arr in (exit_rates, targets, cum):
+            arr.setflags(write=False)
+        return exit_rates, targets, cum
 
     def submatrix(self, states: Sequence[Hashable]) -> np.ndarray:
         idx = self.indices(states)

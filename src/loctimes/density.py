@@ -242,6 +242,12 @@ class _FlowTable:
                 int(np.searchsorted(self.monomial_degree, K, side="right")))
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block of a (rows, width) temporary of at most about a
+    million elements (8 MB of float64), and at least 32 rows."""
+    return max(32, 1_000_000 // max(width, 1))
+
+
 _LOG_FACT = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 200)))))
 _FLOW_TABLES: dict[bytes, _FlowTable] = {}
 
@@ -286,7 +292,12 @@ class _FlowSeries:
         if K > self._through:
             tab = self.table
             (f0, m0), (f1, m1) = tab.sizes(self._through), tab.sizes(K)
-            coeff = np.prod(self.rates ** tab.counts[f0:f1], axis=1) * tab.inv_factorial[f0:f1]
+            coeff = np.empty(f1 - f0, dtype=self.rates.dtype)
+            step = _block_rows(len(self.rates))  # the (flows, edges) powers, in blocks
+            for a in range(f0, f1, step):
+                b = min(a + step, f1)
+                coeff[a - f0 : b - f0] = np.prod(self.rates ** tab.counts[a:b], axis=1)
+            coeff *= tab.inv_factorial[f0:f1]
             agg = np.zeros(m1 - m0, dtype=coeff.dtype)
             np.add.at(agg, tab.monomial[f0:f1] - m0, coeff)
             W = np.empty((m1 - m0, len(self.terms)), dtype=agg.dtype)
@@ -303,9 +314,9 @@ class _FlowSeries:
         m0, m1 = tab.sizes(lo)[1], tab.sizes(hi)[1]
         W, powers = self._weights(hi)[m0:m1], tab.powers[m0:m1]
         out = np.empty(len(logL), dtype=W.dtype)
-        # one (chunk, monomials) buffer of at most about 8 MB, reused by every
-        # block: a batch's working memory then does not grow with its degree
-        chunk = max(32, int(1_000_000 // max(len(powers), 1)))
+        # one (chunk, monomials) buffer, reused by every block: a batch's
+        # working memory then does not grow with its degree
+        chunk = _block_rows(len(powers))
         buf = np.empty((min(chunk, len(logL)), len(powers)))
         for lo_row in range(0, len(logL), chunk):
             rows = slice(lo_row, lo_row + chunk)

@@ -44,33 +44,6 @@ class McEstimate:
     zero_accepted: bool = False
 
 
-def _jump_table(gen: Generator):
-    """Exit rates and padded per-state jump tables.
-
-    Row s of ``targets`` lists the states at which the cumulative jump
-    distribution of s steps up, and row s of ``cum`` its value there; rows
-    are padded to the largest out-degree, ``cum`` with +inf.  A jump from s
-    with uniform u in [0, 1) goes to ``targets[s, (u >= cum[s]).sum()]``,
-    the first state whose cumulative probability exceeds u: the same
-    comparisons as against the dense cumulative row, in O(out-degree).
-    """
-    exit_rates = gen.exit_rates()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jump = gen.off_diagonal() / exit_rates[:, None]
-    jump[exit_rates == 0] = 0.0
-    cum = np.cumsum(jump, axis=1)
-    # guard the last column against rounding so the lookup never falls off
-    # the end
-    cum[exit_rates > 0, -1] = 1.0
-    steps = np.diff(cum, axis=1, prepend=0.0) > 0
-    # a stable sort moves each row's step columns to the front, in order
-    width = int(steps.sum(axis=1).max())
-    targets = np.argsort(~steps, axis=1, kind="stable")[:, :width]
-    table = np.where(np.take_along_axis(steps, targets, axis=1),
-                     np.take_along_axis(cum, targets, axis=1), np.inf)
-    return exit_rates, targets, table
-
-
 def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_jumps=np.inf):
     """Lockstep simulation of n paths from ``start_idx``.
 
@@ -142,9 +115,10 @@ def run_lockstep(
     with the arrays and stop rule of ``_run_chunk``.
 
     Chunk c draws from the Philox stream keyed ``[seed, c]``, so the result
-    does not depend on ``workers``.
+    does not depend on ``workers``.  The jump table is the generator's own,
+    built on first use.
     """
-    jump_table = _jump_table(gen)
+    jump_table = gen.jump_table
     start_idx = gen.index(start)
     record_idx = gen.indices(record)
     site_idx = None if site is None else gen.index(site)

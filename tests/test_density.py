@@ -23,6 +23,7 @@ from loctimes.density import (
     _FlowTable,
     _FLOW_TABLES,
     _LOG_FACT,
+    _block_rows,
     _quadrature_integrand,
     _simple_cycles,
 )
@@ -229,6 +230,27 @@ def test_flow_table_extends_in_place():
     # one table per support pattern, shared by every series on it
     assert shared_table(complete(4), 5) is shared_table(complete(4), 9)
     assert shared_table(complete(4), 5) is not shared_table(np.triu(complete(4)), 5)
+
+
+def test_blocked_weights_match_unblocked():
+    # a 30-site path with unequal rates: 56 edges, so its degree-8 table
+    # spans several blocks of flows
+    rng = np.random.default_rng(5)
+    B = np.diag(rng.uniform(0.2, 2.0, 29), 1) + np.diag(rng.uniform(0.2, 2.0, 29), -1)
+    A = B - np.diag(B.sum(axis=1))
+    terms = [((), 1.0), ((0, 3), -0.5)]
+    series = _FlowSeries(A, terms, 1e-9)
+    series.table.extend(8)
+    series._weights(4)  # a second pass starts inside the table
+    W = series._weights(8)
+    tab = series.table
+    n_flows = tab.sizes(8)[0]
+    assert n_flows > 2 * _block_rows(len(series.rates))
+    coeff = np.prod(series.rates ** tab.counts[:n_flows], axis=1) * tab.inv_factorial[:n_flows]
+    agg = np.zeros(tab.sizes(8)[1])
+    np.add.at(agg, tab.monomial[:n_flows], coeff)
+    for j, (Q, _) in enumerate(terms):
+        assert np.array_equal(W[:, j], agg * np.prod(2.0 * tab.powers[: len(agg), Q], axis=1))
 
 
 def test_enumerate_flows_size2():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loctimes.chain import RangeSpec, validate_generator
+from loctimes.chain import RangeSpec, box_srw, validate_generator
 from loctimes.oracles import killed_prob, matrix_exponential
 from loctimes.simulate import SimulationError, mc_event_functional, run_lockstep
 
@@ -138,3 +138,67 @@ def test_zero_accepted_flag():
     )
     assert est.zero_accepted
     assert est.mean == 0.0
+
+
+def _rounding_chains():
+    """2,000 seeded 3-state chains, some of whose jump rows sum to just
+    below 1, and one with an absorbing state."""
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        B = rng.uniform(0.05, 1.0, size=(3, 3))
+        np.fill_diagonal(B, 0.0)
+        yield validate_generator(B - np.diag(B.sum(axis=1)))
+    yield validate_generator([[-1, 0.5, 0.5], [0.25, -0.25, 0], [0, 0, 0]])
+
+
+def test_jump_table_rows_are_the_real_jumps():
+    short = False
+    for gen in _rounding_chains():
+        exit_rates, targets, cum = gen.jump_table
+        off = gen.off_diagonal()
+        degree = (off > 0).sum(axis=1)
+        assert targets.shape[1] == degree.max()
+        for s in range(gen.n_states):
+            live = np.isfinite(cum[s])
+            assert live.sum() == degree[s]
+            assert np.all(off[s, targets[s, live]] > 0)
+            if degree[s]:
+                assert cum[s, live][-1] == 1.0
+                short |= np.cumsum(off[s] / exit_rates[s])[-1] < 1.0
+    # the rounding guard was exercised
+    assert short
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_jump_table_matches_dense_lookup(n):
+    rng = np.random.default_rng(n)
+    B = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.8)
+    np.fill_diagonal(B, 0.0)
+    for gen in (validate_generator(B - np.diag(B.sum(axis=1))), box_srw(2, 3)):
+        exit_rates, targets, cum = gen.jump_table
+        off = gen.off_diagonal()
+        for s in np.flatnonzero(exit_rates > 0):
+            dense = np.cumsum(off[s] / exit_rates[s])
+            # seeded uniforms, and the steps of the dense row themselves
+            u = np.concatenate([rng.random(100_000), dense])
+            u = u[u < dense[-1]]
+            picked = targets[s, (u[:, None] >= cum[s]).sum(axis=1)]
+            # the first column whose dense cumulative value exceeds u
+            assert np.array_equal(picked, np.searchsorted(dense, u, side="right"))
+
+
+def test_jump_table_built_once_per_generator():
+    gen = box_srw(2, 3)
+    run_lockstep(gen, (0, 0), 100, 1, 0.5, [(0, 0)], arrays)
+    table = gen.jump_table
+    run_lockstep(gen, (0, 0), 100, 2, 0.5, [(0, 0)], arrays)
+    assert gen.jump_table is table
+    assert not any(arr.flags.writeable for arr in table)
+
+
+def test_box_estimate_is_pinned():
+    # the seeded values of the lookup against dense cumulative rows, bit for
+    # bit: the table picks the same jumps
+    spec = RangeSpec(((0, 0), (1, 0)), (0, 0), (1, 0))
+    est = mc_event_functional(box_srw(2, 3), spec, 0.5, lambda L: np.ones(len(L)), 20_000, seed=7)
+    assert (est.mean, est.std_error, est.n_accepted) == (0.0702, 0.001806588272977383, 1404)
