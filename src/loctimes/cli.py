@@ -204,7 +204,7 @@ def cmd_mc_validate(cfg, args):
     gen = build_generator(cfg)
     spec = build_spec(cfg)
     T = float(cfg.get("T", 1.0))
-    n_paths = args.paths or int(cfg.get("paths", 10 ** 6))
+    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 10 ** 6))
     fname = cfg.get("functional", "one")
     F = _functional(fname, spec)
     est = mc_event_functional(gen, spec, T, F, n_paths, args.seed, workers=args.workers)
@@ -316,7 +316,7 @@ def cmd_rescaled(cfg, args):
 
 
 def cmd_rayknight_test(cfg, args):
-    n_paths = args.paths or int(cfg.get("paths", 100_000))
+    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 100_000))
     report = rk_statistical_test(b=int(cfg.get("b", 3)), h=float(cfg.get("h", 1.0)),
                                  n_paths=n_paths, seed=args.seed)
     table = Table(["test", "statistic", "threshold", "p_value", "passed", "seed"])

@@ -20,6 +20,8 @@ import numpy as np
 from .chain import Generator, RangeSpec
 
 CHUNK_SIZE = 65536
+# path-jumps per engine step once few paths are left; see ``_run_chunk``
+BLOCK = 4096
 
 __all__ = [
     "McEstimate",
@@ -54,45 +56,72 @@ def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_
     times, final state indices and censored flags.  The local times have
     one column per state in ``record``, in that order, and a last column
     for the time spent at all other states.
+
+    Each step advances the m active paths by up to K jumps, K =
+    min(BLOCK // m, jumps made so far, max_jumps - jumps) and at least 1,
+    from a (K, m) block of holds and a (K, m) block of uniforms.  A
+    one-jump step draws and sums as a plain one-jump loop would.
     """
     exit_rates, targets, cum = jump_table
     n_states = len(exit_rates)
+    # one row per slot: a lookup takes the slots of many states at once
+    cum_by_slot = np.ascontiguousarray(cum.T)
     ticks = np.ones(n_states, dtype=bool) if site_idx is None else np.arange(n_states) == site_idx
+    moves = exit_rates > 0
+    rate = np.maximum(exit_rates, 1e-300)
     # absorbing states off the site are checked for per step only if any
     # exist; the Ray-Knight walk's chains have none
-    traps = np.any((exit_rates == 0) & ~ticks)
+    traps = ~moves & ~ticks
+    check_traps = traps.any()
     column = np.full(n_states, len(record))
     column[record] = np.arange(len(record))
-    state = np.full(n, start_idx, dtype=np.int64)
+    state = np.full(n, start_idx, dtype=np.intp)
     remaining = np.full(n, float(limit))
     local = np.zeros((n, len(record) + 1))
     active = np.arange(n)
     jumps = 0
     while len(active) and jumps < max_jumps:
-        s = state[active]
-        rate = exit_rates[s]
-        tick = ticks[s]
-        if traps:
-            stuck = s[~tick & (rate == 0)]
+        m = len(active)
+        K = int(max(1, min(BLOCK // m, jumps, max_jumps - jumps)))
+        hold = rng.exponential(1.0, size=(K, m))
+        u = rng.random((K, m))
+        visited = np.empty((K, m), dtype=np.intp)
+        visited[0] = state[active]
+        for k in range(1, K):
+            src = visited[k - 1]
+            slot = (u[k - 1] >= cum_by_slot.take(src, axis=1)).sum(axis=0)
+            visited[k] = targets[src, slot]
+        hold = np.where(moves[visited], hold / rate[visited], np.inf)
+        clock = hold if site_idx is None else np.where(ticks[visited], hold, 0.0)
+        if K > 1:  # one row is its own sum; an axis-0 cumsum pays per column
+            clock = np.cumsum(clock, axis=0)
+        left = remaining[active]
+        # a path's clock never falls, and as the level is positive it first
+        # reaches the level on a row at the site; the rows before ``last``
+        # are whole holds, a stopped path's row ``last`` holds what was left
+        # of its clock, and the rows after it are unused
+        last = K - (clock >= left).sum(axis=0)
+        rows = np.arange(K)[:, None]
+        if check_traps:
+            stuck = visited[traps[visited] & (rows < last)]
             if len(stuck):
                 raise SimulationError(f"absorbed at state index {stuck[0]} before reaching level")
-        hold = np.where(
-            rate > 0, rng.exponential(1.0, size=len(active)) / np.maximum(rate, 1e-300), np.inf
-        )
-        left = remaining[active]
-        stop = tick & (hold >= left)
-        dt = np.where(stop, left, hold)
-        # each path appears once in ``active``, so the rows are unique
-        local[active, column[s]] += dt
-        remaining[active] = left - np.where(tick, dt, 0.0)
-        go = ~stop
-        moving = active[go]
-        if len(moving):
-            u = rng.random(len(active))[go]
-            src = state[moving]
-            state[moving] = targets[src, (u[:, None] >= cum[src]).sum(axis=1)]
-        active = moving
-        jumps += 1
+        before = np.zeros((K, m))
+        before[1:] = clock[:-1]
+        dt = np.where(rows < last, hold, np.where(rows == last, left - before, 0.0))
+        # a path may visit a state more than once in a block
+        np.add.at(local.reshape(-1), (active * local.shape[1] + column[visited]).ravel(),
+                  dt.ravel())
+        # integer selections: boolean masks index much slower
+        ends, on = np.flatnonzero(last < K), np.flatnonzero(last == K)
+        state[active[ends]] = visited.reshape(-1)[last[ends] * m + ends]
+        active = active[on]
+        if len(active):
+            remaining[active] = left[on] - clock[-1][on]
+            src = visited[-1][on]
+            slot = (u[-1][on] >= cum_by_slot.take(src, axis=1)).sum(axis=0)
+            state[active] = targets[src, slot]
+        jumps += K
     censored = np.zeros(n, dtype=bool)
     censored[active] = True
     return local, state, censored
@@ -116,8 +145,13 @@ def run_lockstep(
 
     Chunk c draws from the Philox stream keyed ``[seed, c]``, so the result
     does not depend on ``workers``.  The jump table is the generator's own,
-    built on first use.
+    built on first use.  Raises ``ValueError`` for fewer than one path, or
+    with a site for a level that is not positive.
     """
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got {n_paths}")
+    if site is not None and not limit > 0:
+        raise ValueError(f"the level of local time must be positive, got {limit}")
     jump_table = gen.jump_table
     start_idx = gen.index(start)
     record_idx = gen.indices(record)

@@ -94,6 +94,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["density-eval"]) == 2  # no config at all
 
 
+@pytest.mark.parametrize("paths", ["0", "-5"])
+def test_path_counts_below_one_exit_2(tmp_path, capsys, paths):
+    # --paths 0 is a path count, not "use the default"
+    path = write_cfg(tmp_path, TWO_STATE_CFG)
+    assert main(["mc-validate", path, "--paths", paths, "--no-timestamp"]) == 2
+    assert "error: need at least one path" in capsys.readouterr().err
+    assert main(["rayknight-test", "--paths", paths, "--no-timestamp"]) == 2
+    assert "error: need at least one path" in capsys.readouterr().err
+
+
 def test_assert_flag(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=2"])
     assert main(["bounds-check", path, "--no-timestamp", "--assert"]) == 0

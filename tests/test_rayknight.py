@@ -171,6 +171,11 @@ def test_simulate_profiles_exact_level():
         batch.at(99)
 
 
+def test_simulate_profiles_rejects_no_paths():
+    with pytest.raises(ValueError, match="at least one path"):
+        simulate_profiles(b=2, h=1.0, n_paths=0, seed=1)
+
+
 def test_walk_and_battery_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

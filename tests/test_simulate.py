@@ -202,3 +202,104 @@ def test_box_estimate_is_pinned():
     spec = RangeSpec(((0, 0), (1, 0)), (0, 0), (1, 0))
     est = mc_event_functional(box_srw(2, 3), spec, 0.5, lambda L: np.ones(len(L)), 20_000, seed=7)
     assert (est.mean, est.std_error, est.n_accepted) == (0.0702, 0.001806588272977383, 1404)
+
+
+@pytest.mark.parametrize("n_paths", [0, -5])
+def test_path_counts_below_one_rejected(n_paths):
+    with pytest.raises(ValueError, match="at least one path"):
+        run_lockstep(TWO_STATE, 0, n_paths, 0, 1.0, (0, 1), arrays)
+    with pytest.raises(ValueError, match="at least one path"):
+        mc_event_functional(TWO_STATE, RangeSpec((0, 1), 0, 1), 1.0,
+                            lambda L: np.ones(len(L)), n_paths, seed=0)
+
+
+def test_site_level_must_be_positive():
+    with pytest.raises(ValueError, match="must be positive"):
+        run_lockstep(TWO_STATE, 0, 10, 0, 0.0, (0, 1), arrays, site=1)
+
+
+# Many calls of 300 paths each: with few paths per chunk the engine takes
+# steps of many jumps, so these check the blocked steps against oracles
+# that do not run the engine.
+SMALL_CALLS, SMALL_PATHS = 300, 300
+SKEWED = validate_generator([[-1.5, 1.0, 0.5], [0.25, -1.0, 0.75], [1.5, 0.5, -2.0]])
+
+
+def _small_calls(gen, limit, record, site=None):
+    parts = [run_lockstep(gen, 0, SMALL_PATHS, seed, limit, record, arrays, site=site)[0]
+             for seed in range(SMALL_CALLS)]
+    local, state, censored = (np.concatenate(x) for x in zip(*parts))
+    assert not censored.any()
+    return local, state
+
+
+def test_blocked_steps_terminal_law_and_occupation():
+    T = 3.0
+    local, state = _small_calls(SKEWED, T, (0, 1, 2))
+    n = len(state)
+    P = matrix_exponential(SKEWED.rates, T)[0]
+    for j in range(3):
+        p = np.mean(state == j)
+        assert abs(p - P[j]) < 4 * np.sqrt(P[j] * (1 - P[j]) / n)
+    # int_0^T e^{tQ} dt is the top-right block of exp(T [[Q, I], [0, 0]])
+    Z = np.zeros((6, 6))
+    Z[:3, :3], Z[:3, 3:] = SKEWED.rates, np.eye(3)
+    occupation = matrix_exponential(Z, T)[0, 3:]
+    assert local[:, :3].sum(axis=1) == pytest.approx(np.full(n, T), abs=1e-12)
+    for x in range(3):
+        L = local[:, x]
+        assert abs(L.mean() - occupation[x]) < 4 * L.std() / np.sqrt(n)
+
+
+def test_blocked_steps_inverse_local_time_occupation():
+    # from the site b, E L_x(tau_h) = h pi_x / pi_b with pi the stationary law
+    h, b = 2.0, 0
+    A = np.vstack([SKEWED.rates.T[:-1], np.ones(3)])
+    pi = np.linalg.solve(A, [0.0, 0.0, 1.0])
+    local, state = _small_calls(SKEWED, h, (0, 1, 2), site=b)
+    assert np.all(state == b)
+    assert local[:, b] == pytest.approx(np.full(len(state), h), abs=1e-12)
+    for x in (1, 2):
+        L = local[:, x]
+        assert abs(L.mean() - h * pi[x] / pi[b]) < 4 * L.std() / np.sqrt(len(L))
+
+
+@pytest.mark.parametrize("n_paths", [7, 1000])
+def test_block_boundaries_at_the_jump_cap(n_paths):
+    # the cycle 0 -> 1 -> 2 -> 0 never reaches the site 3, so every path
+    # makes exactly max_jumps jumps, whatever blocks the engine takes
+    gen = validate_generator([[-1, 1, 0, 0], [0, -1, 1, 0], [1, 0, -1, 0], [1, 0, 0, -1]])
+    for max_jumps in range(1, 41):
+        [(local, state, censored)] = run_lockstep(gen, 0, n_paths, max_jumps, 1.0,
+                                                  (0, 1, 2, 3), arrays, site=3,
+                                                  max_jumps=max_jumps)
+        assert censored.all()
+        assert np.all(state == max_jumps % 3)
+        assert np.all(local[:, 3] == 0.0)
+        # one whole hold per jump made: the final state is not held yet
+        visited = min(max_jumps, 3)
+        assert np.all(local[:, :visited] > 0) and np.all(local[:, visited:3] == 0)
+
+
+def test_absorption_inside_a_block():
+    # 0 -> 1 -> ... -> 7, absorbing at 7, off the site 0: the engine steps
+    # 1, 1, 2 and 4 jumps, so state 7 is entered on the last row of a block
+    n = 8
+    A = np.eye(n, k=1) - np.diag(np.r_[np.ones(n - 1), 0.0])
+    gen = validate_generator(A)
+    with pytest.raises(SimulationError, match="absorbed at state index 7"):
+        run_lockstep(gen, 0, 5, 0, 1e9, range(n), arrays, site=0)
+
+
+def test_rows_after_the_stop_are_not_checked():
+    # 1 -> 2 -> ... -> 5 with the site 5 absorbing and an unreachable
+    # absorbing state 0 off the site: the path stops on the first row of a
+    # four-jump block, and the rows after it are never part of the path
+    n = 6
+    A = np.eye(n, k=1)
+    A[0, 1] = 0.0
+    A -= np.diag(A.sum(axis=1))
+    gen = validate_generator(A)
+    [(local, state, censored)] = run_lockstep(gen, 1, 5, 0, 1.0, range(n), arrays, site=5)
+    assert np.all(state == 5) and not censored.any()
+    assert np.all(local[:, 5] == 1.0) and np.all(local[:, 0] == 0.0)
