@@ -171,8 +171,8 @@ def simulate_profiles(
     A = np.eye(width, k=1) + np.eye(width, k=-1)
     np.fill_diagonal(A, -A.sum(axis=1))
     walk = validate_generator(A, states=range(-depth, b + depth + 1))
-    parts = run_lockstep(walk, 0, n_paths, seed, h, walk.states,
-                         lambda local, _, censored: (local[~censored, :-1], int(censored.sum())),
+    parts = run_lockstep(walk, 0, n_paths, seed, h,
+                         lambda local, _, censored: (local[~censored], int(censored.sum())),
                          site=b, max_jumps=max_events)
     records = np.concatenate([p[0] for p in parts])
     records[:, b + depth] = h

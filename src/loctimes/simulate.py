@@ -5,15 +5,18 @@ the current state's exit rate, then a categorical jump.  The lockstep
 engine ``run_lockstep`` runs fixed-size chunks of paths side by side with
 per-chunk counter-based random streams, until a horizon or until a level
 of local time at one site, so results are bit-identical for a fixed seed
-no matter how the chunks are scheduled across workers.  The Monte Carlo
-estimator here and the Ray-Knight profile walk both run on it.
+no matter how the chunks are scheduled across workers, and returns every
+state's local time.  The Ray-Knight profile walk runs on it, and so does
+the Monte Carlo estimator here, on the chain restricted to the range with
+each path weighted by e^{-k.L}, k the rates of leaving the range
+(Feynman-Kac).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -46,16 +49,15 @@ class McEstimate:
     zero_accepted: bool = False
 
 
-def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_jumps=np.inf):
+def _run_chunk(jump_table, start_idx, n, rng, limit, site_idx=None, max_jumps=np.inf):
     """Lockstep simulation of n paths from ``start_idx``.
 
     A path stops when its clock reaches ``limit``: the elapsed time, or with
     ``site_idx`` the local time there.  With a site, a path absorbed at
     another state would never stop and raises ``SimulationError``.  Paths
     still running after ``max_jumps`` jumps are censored.  Returns local
-    times, final state indices and censored flags.  The local times have
-    one column per state in ``record``, in that order, and a last column
-    for the time spent at all other states.
+    times, one column per state in state order, final state indices and
+    censored flags.
 
     Each step advances the m active paths by up to K jumps, K =
     min(BLOCK // m, jumps made so far, max_jumps - jumps) and at least 1,
@@ -73,11 +75,9 @@ def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_
     # exist; the Ray-Knight walk's chains have none
     traps = ~moves & ~ticks
     check_traps = traps.any()
-    column = np.full(n_states, len(record))
-    column[record] = np.arange(len(record))
     state = np.full(n, start_idx, dtype=np.intp)
     remaining = np.full(n, float(limit))
-    local = np.zeros((n, len(record) + 1))
+    local = np.zeros((n, n_states))
     active = np.arange(n)
     jumps = 0
     while len(active) and jumps < max_jumps:
@@ -110,8 +110,7 @@ def _run_chunk(jump_table, start_idx, n, rng, limit, record, site_idx=None, max_
         before[1:] = clock[:-1]
         dt = np.where(rows < last, hold, np.where(rows == last, left - before, 0.0))
         # a path may visit a state more than once in a block
-        np.add.at(local.reshape(-1), (active * local.shape[1] + column[visited]).ravel(),
-                  dt.ravel())
+        np.add.at(local.reshape(-1), (active * n_states + visited).ravel(), dt.ravel())
         # integer selections: boolean masks index much slower
         ends, on = np.flatnonzero(last < K), np.flatnonzero(last == K)
         state[active[ends]] = visited.reshape(-1)[last[ends] * m + ends]
@@ -133,7 +132,6 @@ def run_lockstep(
     n_paths: int,
     seed: int,
     limit: float,
-    record: Sequence[Hashable],
     reduce: Callable,
     site: Hashable | None = None,
     max_jumps: float = np.inf,
@@ -146,22 +144,20 @@ def run_lockstep(
     Chunk c draws from the Philox stream keyed ``[seed, c]``, so the result
     does not depend on ``workers``.  The jump table is the generator's own,
     built on first use.  Raises ``ValueError`` for fewer than one path, or
-    with a site for a level that is not positive.
+    for a limit that is not a positive finite number.
     """
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
-    if site is not None and not limit > 0:
-        raise ValueError(f"the level of local time must be positive, got {limit}")
+    if not 0 < limit < np.inf:
+        raise ValueError(f"the limit must be positive and finite, got {limit}")
     jump_table = gen.jump_table
     start_idx = gen.index(start)
-    record_idx = gen.indices(record)
     site_idx = None if site is None else gen.index(site)
 
     def one_chunk(c):
         n = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
         rng = np.random.Generator(np.random.Philox(key=[seed, c]))
-        return reduce(*_run_chunk(jump_table, start_idx, n, rng, limit, record_idx, site_idx,
-                                  max_jumps))
+        return reduce(*_run_chunk(jump_table, start_idx, n, rng, limit, site_idx, max_jumps))
 
     n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
     if workers > 1:
@@ -182,35 +178,38 @@ def mc_event_functional(
     """Monte Carlo estimate of E_start[F(local times) on {end at spec.end,
     range exactly spec.range}].
 
-    ``F`` receives a 2-D array of accepted local-time vectors (columns
-    ordered by spec.range) and returns one value per row.  Paths outside
-    the event contribute 0.  The chunked per-stream design makes the
-    result independent of the worker count.
+    Paths run on the chain restricted to the range, whose exits are
+    removed, and each is weighted by e^{-k.L}, k_x the rate of leaving the
+    range from x (Feynman-Kac); k is 0 when the range holds every state.
+    ``F`` receives a 2-D array of the local-time vectors (columns ordered by
+    spec.range) of the paths that visit the whole range and end at
+    spec.end, ``n_accepted`` of them, and returns one value per row.  Other
+    paths contribute 0.  The chunked per-stream design makes the result
+    independent of the worker count.
     """
-    end_idx = gen.index(spec.end)
+    idx = gen.indices(spec.range)
+    off = gen.off_diagonal()[idx]
+    inner, kill = off[:, idx], np.delete(off, idx, axis=1).sum(axis=1)
+    # not validate_generator: it rejects a one-state chain
+    on_range = Generator(spec.range, inner - np.diag(inner.sum(axis=1)))
+    end_idx = on_range.index(spec.end)
 
     def reduce(local, state, _censored):
-        # a state is visited exactly when its local time is positive; the
-        # last column is the time outside the range
-        ok = (state == end_idx) & np.all(local[:, :-1] > 0, axis=1) & (local[:, -1] == 0)
+        # a state is visited exactly when its local time is positive
+        ok = (state == end_idx) & np.all(local > 0, axis=1)
         if not np.any(ok):
             return 0.0, 0.0, 0
-        vals = np.asarray(F(local[ok, :-1]), dtype=float)
+        L = local[ok]
+        vals = np.asarray(F(L), dtype=float) * np.exp(-(L @ kill))
         return float(vals.sum()), float((vals ** 2).sum()), int(ok.sum())
 
-    parts = run_lockstep(gen, spec.start, n_paths, seed, T, spec.range, reduce, workers=workers)
+    parts = run_lockstep(on_range, spec.start, n_paths, seed, T, reduce, workers=workers)
     total = np.sum([p[0] for p in parts])
     total_sq = np.sum([p[1] for p in parts])
     n_acc = int(np.sum([p[2] for p in parts]))
     mean = total / n_paths
     var = max(total_sq / n_paths - mean ** 2, 0.0)
     se = float(np.sqrt(var / max(n_paths - 1, 1)))
-    return McEstimate(
-        mean=float(mean),
-        std_error=se,
-        n_paths=n_paths,
-        seed=seed,
-        n_accepted=n_acc,
-        zero_accepted=(n_acc == 0),
-    )
+    return McEstimate(mean=float(mean), std_error=se, n_paths=n_paths, seed=seed,
+                      n_accepted=n_acc, zero_accepted=n_acc == 0)
 

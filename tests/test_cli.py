@@ -104,6 +104,14 @@ def test_path_counts_below_one_exit_2(tmp_path, capsys, paths):
     assert "error: need at least one path" in capsys.readouterr().err
 
 
+def test_horizon_not_positive_finite_exits_2(tmp_path, capsys):
+    # no path ever reaches a nan horizon
+    path = write_cfg(tmp_path, TWO_STATE_CFG)
+    assert main(["mc-validate", path, "--set", "T=nan", "--paths", "10",
+                 "--no-timestamp"]) == 2
+    assert "error: the limit must be positive and finite" in capsys.readouterr().err
+
+
 def test_assert_flag(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=2"])
     assert main(["bounds-check", path, "--no-timestamp", "--assert"]) == 0

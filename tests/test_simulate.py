@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loctimes.chain import RangeSpec, box_srw, validate_generator
-from loctimes.oracles import killed_prob, matrix_exponential
+from loctimes.oracles import killed_prob, matrix_exponential, range_exact_prob
 from loctimes.simulate import SimulationError, mc_event_functional, run_lockstep
 
 TWO_STATE = validate_generator([[-1, 1], [1, -1]])
@@ -20,9 +20,8 @@ def expected_local_time_at_start(T):
 
 def test_local_times_partition_horizon():
     gen = validate_generator([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-    [(local, state, censored)] = run_lockstep(gen, 0, 20, 0, 3.0, (0, 1, 2), arrays)
+    [(local, state, censored)] = run_lockstep(gen, 0, 20, 0, 3.0, arrays)
     assert local.sum(axis=1) == pytest.approx(np.full(20, 3.0), abs=1e-12)
-    assert np.all(local[:, -1] == 0.0)
     # the last holding interval is spent at the final state
     assert np.all(local[np.arange(20), state] > 0)
     assert not censored.any()
@@ -30,7 +29,7 @@ def test_local_times_partition_horizon():
 
 def test_absorbing_state_holds():
     gen = validate_generator([[-5, 5], [0, 0]])
-    [(local, state, censored)] = run_lockstep(gen, 0, 1000, 1, 50.0, (0, 1), arrays)
+    [(local, state, censored)] = run_lockstep(gen, 0, 1000, 1, 50.0, arrays)
     assert np.all(state == 1)
     assert np.all(local[:, 1] > 0)
     assert not censored.any()
@@ -67,7 +66,10 @@ def test_no_jump_probability():
         n_paths=100_000,
         seed=3,
     )
-    assert abs(est.mean - np.exp(-T)) < 4 * est.std_error
+    # the one-state range chain never jumps, so every path has the weight
+    # e^{-T} of staying put: the estimate is exact
+    assert est.mean == pytest.approx(np.exp(-T), rel=1e-15, abs=0)
+    assert est.std_error == 0.0
 
 
 def test_absorbing_chain_event_probability():
@@ -96,7 +98,7 @@ def test_terminal_distribution():
     n = 50_000
     gen = TWO_STATE
     E = matrix_exponential(gen.rates, T)
-    [(_, state, _)] = run_lockstep(gen, 0, n, 17, T, (0, 1), arrays)
+    [(_, state, _)] = run_lockstep(gen, 0, n, 17, T, arrays)
     p = np.mean(state == 1)
     assert abs(p - E[0, 1]) < 4 * np.sqrt(E[0, 1] * (1 - E[0, 1]) / n)
 
@@ -104,7 +106,7 @@ def test_terminal_distribution():
 def test_inverse_local_time_exact_level():
     gen = validate_generator([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
     for h in (0.1, 1.0, 3.5):
-        [(local, state, censored)] = run_lockstep(gen, 0, 1000, 5, h, (0, 1, 2), arrays, site=1)
+        [(local, state, censored)] = run_lockstep(gen, 0, 1000, 5, h, arrays, site=1)
         assert local[:, 1] == pytest.approx(np.full(1000, h), abs=1e-12)
         assert np.all(state == 1)
         assert not censored.any()
@@ -114,7 +116,7 @@ def test_inverse_local_time_absorption_error():
     # a path absorbed at 1 neither reaches the level at 0 nor jumps back
     gen = validate_generator([[-1, 1], [0, 0]])
     with pytest.raises(SimulationError, match="absorbed at state index 1"):
-        run_lockstep(gen, 0, 3, 1, 1.0, (0, 1), arrays, site=0, max_jumps=50)
+        run_lockstep(gen, 0, 3, 1, 1.0, arrays, site=0, max_jumps=50)
 
 
 def test_seed_determinism_and_worker_invariance():
@@ -189,33 +191,75 @@ def test_jump_table_matches_dense_lookup(n):
 
 def test_jump_table_built_once_per_generator():
     gen = box_srw(2, 3)
-    run_lockstep(gen, (0, 0), 100, 1, 0.5, [(0, 0)], arrays)
+    run_lockstep(gen, (0, 0), 100, 1, 0.5, arrays)
     table = gen.jump_table
-    run_lockstep(gen, (0, 0), 100, 2, 0.5, [(0, 0)], arrays)
+    run_lockstep(gen, (0, 0), 100, 2, 0.5, arrays)
     assert gen.jump_table is table
     assert not any(arr.flags.writeable for arr in table)
 
 
 def test_box_estimate_is_pinned():
-    # the seeded values of the lookup against dense cumulative rows, bit for
-    # bit: the table picks the same jumps
-    spec = RangeSpec(((0, 0), (1, 0)), (0, 0), (1, 0))
-    est = mc_event_functional(box_srw(2, 3), spec, 0.5, lambda L: np.ones(len(L)), 20_000, seed=7)
-    assert (est.mean, est.std_error, est.n_accepted) == (0.0702, 0.001806588272977383, 1404)
+    # the seeded count of the lookup against dense cumulative rows, bit for
+    # bit: the table picks the same jumps.  The event is the exact range
+    # {(0, 0), (1, 0)} ending at (1, 0), found by rejecting the box's paths
+    gen = box_srw(2, 3)
+    range_idx, end_idx = gen.indices([(0, 0), (1, 0)]), gen.index((1, 0))
+
+    def accepted(local, state, _censored):
+        inside = np.all(local[:, range_idx] > 0, axis=1)
+        outside = np.delete(local, range_idx, axis=1).sum(axis=1)
+        return int(((state == end_idx) & inside & (outside == 0)).sum())
+
+    [n_accepted] = run_lockstep(gen, (0, 0), 20_000, 7, 0.5, accepted)
+    assert (n_accepted, n_accepted / 20_000) == (1404, 0.0702)
+
+
+SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("spec, T", [
+    (RangeSpec(SQUARE[:2], (0, 0), (1, 0)), 0.5),
+    (RangeSpec(SQUARE, (0, 0), (1, 1)), 5.0),
+    (RangeSpec(SQUARE, (0, 0), (1, 1)), 20.0),
+])
+def test_weighted_paths_match_exact_range_probability(spec, T):
+    # on the 441-state box the range's paths are weighted by the chance of
+    # not leaving it: the square's event has probability 1e-5 at T = 5 and
+    # 1e-18 at T = 20, which no rejection of exits would ever sample
+    box = box_srw(2, 10)
+    est = mc_event_functional(box, spec, T, lambda L: np.ones(len(L)), 200_000, seed=0)
+    assert abs(est.mean - range_exact_prob(box, spec, T)) < 4 * est.std_error
+
+
+def test_range_of_every_state_is_pinned():
+    # no rate leaves a range that holds every state, so its paths weigh 1
+    # and the estimate is the rejection estimator's, bit for bit
+    gen = validate_generator([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
+    est = mc_event_functional(gen, RangeSpec((0, 1, 2), 0, 1), 1.5, lambda L: L[:, 0],
+                              100_000, seed=404, workers=2)
+    assert (est.mean, est.std_error, est.n_accepted) == (
+        0.12017134912371988, 0.0008639346959940401, 22355)
 
 
 @pytest.mark.parametrize("n_paths", [0, -5])
 def test_path_counts_below_one_rejected(n_paths):
     with pytest.raises(ValueError, match="at least one path"):
-        run_lockstep(TWO_STATE, 0, n_paths, 0, 1.0, (0, 1), arrays)
+        run_lockstep(TWO_STATE, 0, n_paths, 0, 1.0, arrays)
     with pytest.raises(ValueError, match="at least one path"):
         mc_event_functional(TWO_STATE, RangeSpec((0, 1), 0, 1), 1.0,
                             lambda L: np.ones(len(L)), n_paths, seed=0)
 
 
-def test_site_level_must_be_positive():
-    with pytest.raises(ValueError, match="must be positive"):
-        run_lockstep(TWO_STATE, 0, 10, 0, 0.0, (0, 1), arrays, site=1)
+@pytest.mark.parametrize("limit", [0.0, -1.0, np.nan, np.inf])
+def test_limit_must_be_positive_and_finite(limit):
+    # no path ever reaches a nan or infinite limit, and one of 0 or less
+    # would give an empty path
+    for site in (None, 1):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            run_lockstep(TWO_STATE, 0, 10, 0, limit, arrays, site=site)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        mc_event_functional(TWO_STATE, RangeSpec((0, 1), 0, 1), limit,
+                            lambda L: np.ones(len(L)), 10, seed=0)
 
 
 # Many calls of 300 paths each: with few paths per chunk the engine takes
@@ -225,8 +269,8 @@ SMALL_CALLS, SMALL_PATHS = 300, 300
 SKEWED = validate_generator([[-1.5, 1.0, 0.5], [0.25, -1.0, 0.75], [1.5, 0.5, -2.0]])
 
 
-def _small_calls(gen, limit, record, site=None):
-    parts = [run_lockstep(gen, 0, SMALL_PATHS, seed, limit, record, arrays, site=site)[0]
+def _small_calls(gen, limit, site=None):
+    parts = [run_lockstep(gen, 0, SMALL_PATHS, seed, limit, arrays, site=site)[0]
              for seed in range(SMALL_CALLS)]
     local, state, censored = (np.concatenate(x) for x in zip(*parts))
     assert not censored.any()
@@ -235,7 +279,7 @@ def _small_calls(gen, limit, record, site=None):
 
 def test_blocked_steps_terminal_law_and_occupation():
     T = 3.0
-    local, state = _small_calls(SKEWED, T, (0, 1, 2))
+    local, state = _small_calls(SKEWED, T)
     n = len(state)
     P = matrix_exponential(SKEWED.rates, T)[0]
     for j in range(3):
@@ -256,7 +300,7 @@ def test_blocked_steps_inverse_local_time_occupation():
     h, b = 2.0, 0
     A = np.vstack([SKEWED.rates.T[:-1], np.ones(3)])
     pi = np.linalg.solve(A, [0.0, 0.0, 1.0])
-    local, state = _small_calls(SKEWED, h, (0, 1, 2), site=b)
+    local, state = _small_calls(SKEWED, h, site=b)
     assert np.all(state == b)
     assert local[:, b] == pytest.approx(np.full(len(state), h), abs=1e-12)
     for x in (1, 2):
@@ -270,9 +314,8 @@ def test_block_boundaries_at_the_jump_cap(n_paths):
     # makes exactly max_jumps jumps, whatever blocks the engine takes
     gen = validate_generator([[-1, 1, 0, 0], [0, -1, 1, 0], [1, 0, -1, 0], [1, 0, 0, -1]])
     for max_jumps in range(1, 41):
-        [(local, state, censored)] = run_lockstep(gen, 0, n_paths, max_jumps, 1.0,
-                                                  (0, 1, 2, 3), arrays, site=3,
-                                                  max_jumps=max_jumps)
+        [(local, state, censored)] = run_lockstep(gen, 0, n_paths, max_jumps, 1.0, arrays,
+                                                  site=3, max_jumps=max_jumps)
         assert censored.all()
         assert np.all(state == max_jumps % 3)
         assert np.all(local[:, 3] == 0.0)
@@ -288,7 +331,7 @@ def test_absorption_inside_a_block():
     A = np.eye(n, k=1) - np.diag(np.r_[np.ones(n - 1), 0.0])
     gen = validate_generator(A)
     with pytest.raises(SimulationError, match="absorbed at state index 7"):
-        run_lockstep(gen, 0, 5, 0, 1e9, range(n), arrays, site=0)
+        run_lockstep(gen, 0, 5, 0, 1e9, arrays, site=0)
 
 
 def test_rows_after_the_stop_are_not_checked():
@@ -300,6 +343,6 @@ def test_rows_after_the_stop_are_not_checked():
     A[0, 1] = 0.0
     A -= np.diag(A.sum(axis=1))
     gen = validate_generator(A)
-    [(local, state, censored)] = run_lockstep(gen, 1, 5, 0, 1.0, range(n), arrays, site=5)
+    [(local, state, censored)] = run_lockstep(gen, 1, 5, 0, 1.0, arrays, site=5)
     assert np.all(state == 5) and not censored.any()
     assert np.all(local[:, 5] == 1.0) and np.all(local[:, 0] == 0.0)
