@@ -243,11 +243,12 @@ class _FlowTable:
 
 
 def _block_rows(width: int) -> int:
-    """Rows per block of a (rows, width) temporary of at most about a
-    million elements (8 MB of float64), and at least 32 rows."""
+    """Rows per block of the (flows, edges) powers of ``_weights``: at most
+    about a million elements (8 MB of float64), and at least 32 rows."""
     return max(32, 1_000_000 // max(width, 1))
 
 
+PASS_BLOCK = 1 << 17  # elements of the monomial pass's buffer (1 MB of float64)
 _LOG_FACT = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 200)))))
 _FLOW_TABLES: dict[bytes, _FlowTable] = {}
 
@@ -308,15 +309,19 @@ class _FlowSeries:
 
     def _pass_sum(self, logL: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Per row of ``logL`` = log(L), the share of the degrees lo+1 .. hi
-        in the series, before the factor exp(diag . l)."""
+        in the series, before the factor exp(diag . l).
+
+        The rows go through in blocks that fill one (rows, monomials)
+        buffer of ``PASS_BLOCK`` elements, reused by every block: the
+        buffer then stays in cache through its three passes (the powers,
+        their exp and the product with the weights), and a batch's working
+        memory does not grow with its degree."""
         tab = self.table
         tab.extend(hi)
         m0, m1 = tab.sizes(lo)[1], tab.sizes(hi)[1]
         W, powers = self._weights(hi)[m0:m1], tab.powers[m0:m1]
         out = np.empty(len(logL), dtype=W.dtype)
-        # one (chunk, monomials) buffer, reused by every block: a batch's
-        # working memory then does not grow with its degree
-        chunk = _block_rows(len(powers))
+        chunk = max(1, PASS_BLOCK // max(len(powers), 1))
         buf = np.empty((min(chunk, len(logL)), len(powers)))
         for lo_row in range(0, len(logL), chunk):
             rows = slice(lo_row, lo_row + chunk)
@@ -330,24 +335,25 @@ class _FlowSeries:
         """Per row, s and C_m = sum_j |det_j| sum_{|pi| = m} prod_{b in pi} d_b s,
         with d_x s = sum_y (|B_xy| + |B_yx|) sqrt(l_y / l_x) / 2 and d_x d_y s =
         (|B_xy| + |B_yx|) / (4 sqrt(l_x l_y)); ``sums[Q]`` holds the inner sum
-        for Q by |pi|, built up over the subsets of the derivative sites."""
+        for Q by |pi|, built up over the subsets of the derivative sites.
+        C is laid out (m, rows), so its arithmetic runs along the rows."""
         S = np.abs(self.B) + np.abs(self.B).T
         sql = np.sqrt(L)
         d1 = (sql @ S) / (2.0 * sql)
-        sums = {(): np.ones((len(L), 1))}
+        sums = {(): np.ones((1, len(L)))}
         sites = sorted({x for Q, _ in self.terms for x in Q})
         for size in range(1, len(sites) + 1):
             for Q in itertools.combinations(sites, size):
                 x, rest = Q[0], Q[1:]
-                sums[Q] = np.zeros((len(L), size + 1))
-                sums[Q][:, 1:] = d1[:, [x]] * sums[rest]  # x alone
+                sums[Q] = np.zeros((size + 1, len(L)))
+                sums[Q][1:] = d1[:, x] * sums[rest]  # x alone
                 for i, y in enumerate(rest):  # x paired with y
                     pair = S[x, y] / (4.0 * sql[:, x] * sql[:, y])
-                    sums[Q][:, 1:-1] += pair[:, None] * sums[rest[:i] + rest[i + 1 :]]
+                    sums[Q][1:-1] += pair * sums[rest[:i] + rest[i + 1 :]]
 
-        C = np.zeros((len(L), 1 + max((len(Q) for Q, _ in self.terms), default=0)))
+        C = np.zeros((1 + max((len(Q) for Q, _ in self.terms), default=0), len(L)))
         for Q, det in self.terms:
-            C[:, : len(Q) + 1] += abs(det) * sums[tuple(Q)]
+            C[: len(Q) + 1] += abs(det) * sums[tuple(Q)]
         return 0.5 * np.einsum("xy,ix,iy->i", S, sql, sql), C
 
     def _sum(self, L: np.ndarray, degree: int | None = None):
@@ -369,21 +375,21 @@ class _FlowSeries:
         for j, (Q, det) in enumerate(self.terms):
             scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
         s, C = self._majorant(L)
-        m = np.arange(C.shape[1])
+        m = np.arange(len(C))[:, None]  # a column against the rows of s
         with np.errstate(over="ignore", divide="ignore"):
-            es, log_s = np.exp(s)[:, None], np.log(s)[:, None]
+            es, log_s = np.exp(s), np.log(s)
 
         def tail(K: int) -> np.ndarray:
             k = np.maximum(K - m, 0)
-            r = s[:, None] / (k + 2)
+            r = s / (k + 2)
             t = np.exp((k + 1) * log_s - gammaln(k + 2), out=np.zeros(r.shape), where=r < 1)
             T = np.minimum(es, np.divide(t, 1 - r, out=np.full(r.shape, np.inf), where=r < 1))
-            return np.einsum("im,im->i", C, np.where(K - m < 0, es, T))
+            return np.einsum("mi,mi->i", C, np.where(K - m < 0, es, T))
 
         def bound(K: int) -> np.ndarray:
             with np.errstate(invalid="ignore", over="ignore"):
-                T = es * np.where(K >= m, gammainc(np.maximum(K - m, 0) + 1, s[:, None]), 1.0)
-                return np.abs(prefactor) * np.minimum(np.einsum("im,im->i", C, T), tail(K))
+                T = es * np.where(K >= m, gammainc(np.maximum(K - m, 0) + 1, s), 1.0)
+                return np.abs(prefactor) * np.minimum(np.einsum("mi,mi->i", C, T), tail(K))
 
         if degree is not None:
             return prefactor * self._pass_sum(logL, scale, -1, degree), bound(degree), degree
@@ -407,8 +413,14 @@ class _FlowSeries:
 
     def values(self, L: np.ndarray):
         """Values and truncation bounds at the rows of ``L``, all summed through
-        the one stopping degree; raises ``ConvergenceError`` past
+        the one stopping degree; raises ``ValueError`` unless ``L`` is 2-D with
+        one positive, finite local time per site, ``ConvergenceError`` past
         ``MAX_DEGREE`` and ``CapacityError`` past ``FLOW_LIMIT``."""
+        L = np.asarray(L, dtype=float)
+        if L.ndim != 2 or L.shape[1] != len(self.diag):
+            raise ValueError(f"expected rows of {len(self.diag)} local times, got shape {L.shape}")
+        if not np.all((L > 0) & (L < np.inf)):
+            raise ValueError("all local times must be positive and finite")
         return self._sum(L)[:2]
 
 

@@ -23,6 +23,7 @@ from loctimes.density import (
     _FlowTable,
     _FLOW_TABLES,
     _LOG_FACT,
+    PASS_BLOCK,
     _block_rows,
     _quadrature_integrand,
     _simple_cycles,
@@ -59,6 +60,32 @@ def random_generator(n, rng, scale=0.8):
     A = B.copy()
     np.fill_diagonal(A, -B.sum(axis=1))
     return validate_generator(A)
+
+
+def bench_chain(seed):
+    """A dense five-state chain on the range {0, 1, 2, 3}, 0 -> 1, killed to
+    state 4, its in-range rates scaled so that T lambda_max(sym |B|) = 0.54
+    at T = 1, as the density benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    B = rng.uniform(0.05, 1.0, size=(5, 5))
+    np.fill_diagonal(B, 0.0)
+    sub = B[:4, :4]
+    B[:4, :4] *= 0.54 / np.linalg.eigvalsh(0.5 * (sub + sub.T)).max()
+    return validate_generator(B - np.diag(B.sum(axis=1))), RangeSpec((0, 1, 2, 3), 0, 1)
+
+
+def simplex_grid(n):
+    """The n^3 midpoint nodes of the nested square-root grid on the size-4
+    simplex at T = 1, as ``simplex_integrate`` lays them out; at n = 16
+    the smallest local time is 3.7e-6."""
+    t = (np.arange(n) + 0.5) / n
+    ts = np.stack([g.ravel() for g in np.meshgrid(t, t, t, indexing="ij")], axis=1)
+    L, budget = np.empty((len(ts), 4)), np.ones(len(ts))
+    for i in range(3):
+        L[:, i] = budget * ts[:, i] ** 2
+        budget = budget - L[:, i]
+    L[:, 3] = budget
+    return L
 
 
 def _enumerate_matrices(size: int, max_degree: int) -> list:
@@ -443,6 +470,62 @@ def test_batch_values_raise_when_truncated():
         with pytest.raises(ConvergenceError, match="flow series not converged at degree 80"):
             density_series(TWO_STATE, SPEC_AB, l)
     assert abs(ev.values(np.array([[1.0, 1.0]]))[0][0] - RHO_12) < 1e-10
+
+
+@pytest.mark.parametrize("L, match", [
+    (np.ones(4), "shape"),
+    (np.ones((2, 3)), "shape"),
+    (np.ones((1, 2, 4)), "shape"),
+    ([[0.25, 0.25, 0.5, 0.0]], "positive"),
+    ([[0.25, 0.25, 0.75, -0.25]], "positive"),
+    ([[0.25, 0.25, 0.5, np.nan]], "positive"),
+    ([[0.25, 0.25, 0.5, np.inf]], "positive"),
+], ids=["1-d", "width", "3-d", "zero", "negative", "nan", "inf"])
+def test_batch_values_reject_bad_rows(L, match):
+    # rejected before any work: a zero or negative entry would warn in log
+    # and divide, then raise a ConvergenceError at degree 80
+    ev = SeriesEvaluator(*bench_chain(2))
+    with pytest.raises(ValueError, match=match):
+        ev.values(L)
+
+
+def test_batch_blocks_match_rows_one_at_a_time():
+    # 587 grid rows, the one nearest the boundary (min l = 3.7e-6) among
+    # them: over the 812 monomials of degree 12 a block holds 161 rows, so
+    # the batch spans four blocks and its last is ragged
+    ev = SeriesEvaluator(*bench_chain(2))
+    G = simplex_grid(16)
+    L = np.concatenate([G[::7], G[G.min(axis=1) < 1e-5]])
+    vals, bounds = ev.values(L)
+    K = ev._sum(L)[2]
+    rows = PASS_BLOCK // ev.table.sizes(K)[1]
+    assert len(L) > 3 * rows and len(L) % rows
+    one_pass = ev._sum(L, degree=K)[:2]
+    for i, row in enumerate(L):
+        v, b, _ = ev._sum(row[None, :], degree=K)
+        for batch_v, batch_b in (vals, bounds), one_pass:
+            assert abs(batch_v[i] - v[0]) <= 1e-13 * abs(v[0])
+            assert abs(batch_b[i] - b[0]) <= 1e-13 * b[0]
+
+
+def test_batch_stopping_rule_is_pinned():
+    # the degree, values and bounds of ``values`` on eleven grid rows, one
+    # of them 3.7e-6 from the boundary; the bound arithmetic may move a
+    # bound in its last digits, never the degree
+    ev = SeriesEvaluator(*bench_chain(2))
+    L = simplex_grid(16)[[0, 455, 910, 1365, 1820, 2275, 2730, 3185, 3640, 4095, 4080]]
+    vals, bounds = ev.values(L)
+    assert ev._sum(L)[2] == 12
+    ref_vals = [0.008599233800378022, 0.008587733436360274, 0.009020163844681356,
+                0.008782024446074465, 0.009195828611573892, 0.008722450408050565,
+                0.008995462964583594, 0.008939700225169584, 0.009057125427775549,
+                0.00904508312643695, 0.009040885259213028]
+    ref_bounds = [4.0473276448532775e-26, 2.5608718303523923e-15, 6.919752874554834e-15,
+                  1.721410278158699e-14, 2.724718316329744e-14, 3.323414147858892e-14,
+                  3.179917378232503e-13, 5.313368921161516e-15, 4.022777710834198e-16,
+                  4.889881040878928e-18, 1.1866441013732623e-17]
+    assert np.allclose(vals, ref_vals, rtol=1e-13, atol=0)
+    assert np.allclose(bounds, ref_bounds, rtol=1e-14, atol=0)
 
 
 def test_dispatcher_returns_result():
