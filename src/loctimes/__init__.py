@@ -42,13 +42,9 @@ from .oracles import (
     simplex_integrate,
 )
 from .rayknight import (
-    bessel_i,
-    bessel_i_scaled,
     f_kernel,
     pstar_kernel,
     rk_statistical_test,
-    sample_f,
-    sample_pstar,
 )
 from .simulate import (
     McEstimate,

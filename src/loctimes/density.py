@@ -62,7 +62,7 @@ class CapacityError(RuntimeError):
 
 def as_times(spec: RangeSpec, l) -> np.ndarray:
     """Coerce a dict keyed by site, or a sequence in range order, to a
-    positive array ordered by the range."""
+    positive, finite array ordered by the range."""
     if isinstance(l, Mapping):
         if set(l) != set(spec.range):
             raise ValueError("local-time support does not match the range")
@@ -70,8 +70,8 @@ def as_times(spec: RangeSpec, l) -> np.ndarray:
     arr = np.asarray(l, dtype=float)
     if arr.shape != (spec.size,):
         raise ValueError(f"expected {spec.size} local times, got shape {arr.shape}")
-    if np.any(arr <= 0):
-        raise ValueError("all local times must be positive")
+    if not np.all((arr > 0) & (arr < np.inf)):
+        raise ValueError("all local times must be positive and finite")
     return arr
 
 

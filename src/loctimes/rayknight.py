@@ -1,13 +1,13 @@
 """Transition kernels for local-time profiles of the one-dimensional walk,
-exact samplers for them, and statistical tests of simulated profiles.
+and a statistical test of simulated profiles against them.
 
 A walk started at 0 is run until its local time at a site b reaches a
 level h.  Read off the local times: going inward from b the successive
 values form a Markov chain on the positive half-line with a Bessel-type
 transition density f; going outward (beyond b, or below 0) they form a
-chain with an absorbing atom at 0.  The samplers draw from these kernels
-exactly via a Poisson-Gamma mixture, and the test battery compares
-simulated profiles against matched synthetic draws.
+chain with an absorbing atom at 0.  Both kernels are Poisson-Gamma
+mixtures, so their conditional CDFs are Skellam tails, and the test
+battery checks each simulated transition against its exact law.
 """
 
 from __future__ import annotations
@@ -22,53 +22,25 @@ from .chain import validate_generator
 from .simulate import run_lockstep
 
 __all__ = [
-    "bessel_i",
-    "bessel_i_scaled",
     "f_kernel",
     "PStarKernel",
     "pstar_kernel",
-    "sample_f",
-    "sample_pstar",
     "simulate_profiles",
     "rk_statistical_test",
-    "ks_two_sample",
 ]
-
-
-def bessel_i_scaled(order: int, z) -> np.ndarray | float:
-    """e^{-z} I_order(z) for order in {0, 1}: scipy's ``i0e``/``i1e``.
-
-    The scaled form never overflows.
-    """
-    if order not in (0, 1):
-        raise ValueError("only orders 0 and 1 are supported")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("argument must be nonnegative")
-    out = (i0e if order == 0 else i1e)(z)
-    return float(out) if z.ndim == 0 else out
-
-
-def bessel_i(order: int, z) -> float | np.ndarray:
-    """I_order(z); overflows for z beyond ~700 (use the scaled form there)."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z > 700):
-        raise OverflowError("argument too large for the unscaled value; use bessel_i_scaled")
-    return bessel_i_scaled(order, z) * np.exp(z)
 
 
 def f_kernel(h1, h2):
     """Inward transition density f(h1, h2) = e^{-h1-h2} I_0(2 sqrt(h1 h2)).
 
     Evaluated in the overflow-safe form exp(-(sqrt(h1)-sqrt(h2))^2) times
-    the scaled Bessel value.
+    the scaled Bessel value ``i0e``.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    if np.any(h1 <= 0) or np.any(h2 <= 0):
-        raise ValueError("arguments must be positive")
-    z = 2.0 * np.sqrt(h1 * h2)
-    return np.exp(-((np.sqrt(h1) - np.sqrt(h2)) ** 2)) * bessel_i_scaled(0, z)
+    if not np.all((h1 > 0) & (h1 < np.inf) & (h2 > 0) & (h2 < np.inf)):
+        raise ValueError("arguments must be positive and finite")
+    return np.exp(-((np.sqrt(h1) - np.sqrt(h2)) ** 2)) * i0e(2.0 * np.sqrt(h1 * h2))
 
 
 @dataclass(frozen=True)
@@ -83,44 +55,22 @@ class PStarKernel:
 
 def pstar_kernel(h1: float) -> PStarKernel:
     """Outward kernel: atom e^{-h1} at 0; density
-    e^{-h1-h2} sqrt(h1/h2) I_1(2 sqrt(h1 h2)) on (0, infinity)."""
-    if h1 < 0:
-        raise ValueError("level must be nonnegative")
-    if h1 == 0:
-        return PStarKernel(h1=0.0, atom=1.0, density=lambda h2: np.zeros_like(np.asarray(h2, dtype=float)))
+    e^{-h1-h2} sqrt(h1/h2) I_1(2 sqrt(h1 h2)) on (0, infinity), which is
+    zero at h1 = 0."""
+    if not 0 <= h1 < np.inf:
+        raise ValueError("level must be nonnegative and finite")
 
     def density(h2):
         h2 = np.asarray(h2, dtype=float)
-        if np.any(h2 <= 0):
-            raise ValueError("density is defined on positive arguments")
-        z = 2.0 * np.sqrt(h1 * h2)
+        if not np.all((h2 > 0) & (h2 < np.inf)):
+            raise ValueError("density is defined on positive, finite arguments")
         return (
             np.exp(-((np.sqrt(h1) - np.sqrt(h2)) ** 2))
             * np.sqrt(h1 / h2)
-            * bessel_i_scaled(1, z)
+            * i1e(2.0 * np.sqrt(h1 * h2))
         )
 
     return PStarKernel(h1=float(h1), atom=float(np.exp(-h1)), density=density)
-
-
-def sample_f(h1, rng: np.random.Generator, size=None):
-    """Exact draw from f(h1, .): N ~ Poisson(h1), then Gamma(N + 1, 1)."""
-    h1 = np.asarray(h1, dtype=float)
-    if size is None:
-        size = h1.shape if h1.ndim else None
-    n = rng.poisson(h1, size=size)
-    return rng.gamma(n + 1.0)
-
-
-def sample_pstar(h1, rng: np.random.Generator, size=None):
-    """Exact draw from the outward kernel: N ~ Poisson(h1); 0 if N = 0,
-    else Gamma(N, 1)."""
-    h1 = np.asarray(h1, dtype=float)
-    if size is None:
-        size = h1.shape if h1.ndim else None
-    n = rng.poisson(h1, size=size)
-    out = np.where(n > 0, rng.gamma(np.maximum(n, 1)), 0.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +136,6 @@ def simulate_profiles(
 
 
 # ---------------------------------------------------------------------------
-# two-sample Kolmogorov-Smirnov
-
-
-def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Two-sample KS statistic and its asymptotic p-value."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    n, m = len(x), len(y)
-    if n == 0 or m == 0:
-        raise ValueError("empty sample")
-    allv = np.concatenate([x, y])
-    cx = np.searchsorted(x, allv, side="right") / n
-    cy = np.searchsorted(y, allv, side="right") / m
-    d = float(np.abs(cx - cy).max())
-    en = np.sqrt(n * m / (n + m))
-    return d, float(kolmogorov(en * d))
-
-
-# ---------------------------------------------------------------------------
 # the statistical test battery
 
 
@@ -231,30 +162,28 @@ class RkReport:
             yield {"test": row.pop("name"), **row, "passed": int(o.passed)}
 
 
-def _quantile_bins(h1: np.ndarray, min_per_bin: int = 500) -> list:
-    """Split indices into quantile bins of h1 with at least min_per_bin
-    entries each (degenerate h1 gives a single bin)."""
-    n = len(h1)
-    n_bins = max(1, min(8, n // min_per_bin))
-    if np.ptp(h1) == 0:
-        return [np.arange(n)]
-    edges = np.quantile(h1, np.linspace(0, 1, n_bins + 1))
-    edges = np.unique(edges)
-    idx = np.clip(np.searchsorted(edges, h1, side="right") - 1, 0, len(edges) - 2)
-    bins = [np.nonzero(idx == k)[0] for k in range(len(edges) - 1)]
-    merged = []
-    carry = np.array([], dtype=int)
-    for bin_idx in bins:
-        carry = np.concatenate([carry, bin_idx])
-        if len(carry) >= min_per_bin:
-            merged.append(carry)
-            carry = np.array([], dtype=int)
-    if len(carry):
-        if merged:
-            merged[-1] = np.concatenate([merged[-1], carry])
-        else:
-            merged.append(carry)
-    return merged
+def _kernel_cdf(h1, y, outward: bool = False):
+    """P(next <= y | current = h1) under f, or under the outward kernel
+    with its atom at 0 included.
+
+    For N ~ Poisson(h1) the next value is Gamma(N + 1, 1) inward, and 0 if
+    N = 0, else Gamma(N, 1), outward.  Since {Gamma(k) <= y} = {M >= k}
+    for an independent M ~ Poisson(y), the CDF is the Skellam tail
+    P(M - N > 0) inward and P(M - N > -1) outward.
+    """
+    from scipy.stats import skellam
+
+    return skellam.sf(-1 if outward else 0, y, h1)
+
+
+def _ks_uniform(u: np.ndarray) -> tuple[float, float]:
+    """One-sample KS statistic of u against Uniform(0, 1) and its
+    asymptotic p-value."""
+    u = np.sort(u)
+    n = len(u)
+    i = np.arange(1, n + 1)
+    d = float(max((i / n - u).max(), (u - (i - 1) / n).max()))
+    return d, float(kolmogorov(np.sqrt(n) * d))
 
 
 def rk_statistical_test(
@@ -266,79 +195,49 @@ def rk_statistical_test(
     depth: int = 12,
     max_events: int = 2_000_000,
 ) -> RkReport:
-    """Simulate walk profiles and test them against the transition kernels.
+    """Simulate walk profiles and test each transition against its exact
+    conditional law.
 
-    Battery: (a) inward transitions match the f density (per-step,
-    per-bin two-sample KS against matched synthetic draws); (b) outward
-    transitions match the atom-plus-density kernel (atom proportion test
-    and KS on the positive part); (c) homogeneity of the inward law across
-    steps; (d) independence of the three profile segments via bounded
-    summary cross-correlations.  P-value thresholds are Bonferroni-split
-    across all KS/atom tests; correlations use the fixed 4/sqrt(n) bar.
+    Battery: (a) for each inward step b-x -> b-x-1, the conditional CDF
+    of the next value given the current one is exactly Uniform(0, 1), and
+    a one-sample KS test checks it; (b) for the outward steps b -> b+1,
+    b+1 -> b+2 and 0 -> -1, on at least 1,000 paths with a positive
+    current value, the count of zeros is compared with the sum of the
+    atoms e^{-h1} (normal approximation), and at least 500 positive next
+    values are KS-tested through the CDF of the positive part; (c) the
+    three profile segments are independent, through bounded summary
+    cross-correlations.  P-value thresholds are Bonferroni-split across
+    the KS and atom tests; correlations use the fixed 4/sqrt(n) bar.
     """
     batch = simulate_profiles(b, h, n_paths, seed, depth=depth, max_events=max_events)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xC0FFEE]))
-    outcomes = []
+    tests = []  # (name, statistic, p-value) of the KS and atom tests
 
-    # (a) inward steps: position b-x -> b-x-1 for x = 0 .. b-1
-    inward = []
     for x in range(b):
-        h1 = batch.at(b - x)
-        h2 = batch.at(b - x - 1)
-        synthetic = sample_f(h1, rng)
-        for j, bin_idx in enumerate(_quantile_bins(h1)):
-            inward.append(
-                (f"inward[{b - x}->{b - x - 1}]bin{j}", h2[bin_idx], synthetic[bin_idx])
-            )
+        h1, h2 = batch.at(b - x), batch.at(b - x - 1)
+        tests.append((f"inward[{b - x}->{b - x - 1}]", *_ks_uniform(_kernel_cdf(h1, h2))))
 
-    # (b) outward steps: b -> b+1, b+1 -> b+2, and 0 -> -1
-    outward_pairs = [(b, b + 1), (b + 1, b + 2), (0, -1)]
-    atom_tests = []
-    outward = []
-    for src, dst in outward_pairs:
-        h1 = batch.at(src)
-        h2 = batch.at(dst)
+    for src, dst in [(b, b + 1), (b + 1, b + 2), (0, -1)]:
+        h1, h2 = batch.at(src), batch.at(dst)
         live = h1 > 0
         h1, h2 = h1[live], h2[live]
         if len(h1) < 1000:
             continue
-        synthetic = sample_pstar(h1, rng)
-        # atom frequencies: observed zeros vs synthetic zeros
-        atom_tests.append((f"outward-atom[{src}->{dst}]", h2 == 0, synthetic == 0))
-        pos_obs = h2[h2 > 0]
-        pos_syn = synthetic[synthetic > 0]
-        if len(pos_obs) >= 500 and len(pos_syn) >= 500:
-            outward.append((f"outward-positive[{src}->{dst}]", pos_obs, pos_syn))
+        # 1 - e^{-h1} through expm1, so a tiny h1 leaves it positive
+        atom, rest = np.exp(-h1), -np.expm1(-h1)
+        zeros = np.count_nonzero(h2 == 0)
+        var = float(np.sum(atom * rest))
+        # with every atom underflowed, any zero contradicts the law
+        z = float(abs(zeros - atom.sum()) / np.sqrt(var)) if var > 0 else (np.inf if zeros else 0.0)
+        tests.append((f"outward-atom[{src}->{dst}]", z, float(2.0 * ndtr(-z))))
+        pos = h2 > 0
+        if np.count_nonzero(pos) >= 500:
+            u = (_kernel_cdf(h1[pos], h2[pos], outward=True) - atom[pos]) / rest[pos]
+            tests.append((f"outward-positive[{src}->{dst}]", *_ks_uniform(u)))
 
-    # (c) homogeneity: the conditional-CDF transform of each inward step is
-    # exactly uniform under the null, so the transforms of different steps
-    # can be compared directly by two-sample KS
-    homogeneity = []
-    transforms = [
-        _f_conditional_cdf(batch.at(b - x), batch.at(b - x - 1)) for x in range(b)
-    ]
-    for x in range(len(transforms) - 1):
-        homogeneity.append(
-            (f"homogeneity[step{x}-vs-step{x + 1}]", transforms[x], transforms[x + 1])
-        )
+    level = family_level / len(tests) / 2.0  # half the budget to KS/atoms
+    outcomes = [TestOutcome(name, stat, level, p, p >= level) for name, stat, p in tests]
 
-    n_ks = len(inward) + len(outward) + len(homogeneity) + len(atom_tests)
-    level = family_level / max(n_ks, 1) / 2.0  # half the budget to KS/atoms
-
-    for name, xs, ys in inward + outward + homogeneity:
-        d, p = ks_two_sample(xs, ys)
-        outcomes.append(TestOutcome(name, d, level, p, p >= level))
-
-    for name, zo, zs in atom_tests:
-        p1, p2 = zo.mean(), zs.mean()
-        n1, n2 = len(zo), len(zs)
-        pool = (zo.sum() + zs.sum()) / (n1 + n2)
-        se = np.sqrt(pool * (1 - pool) * (1 / n1 + 1 / n2))
-        zstat = abs(p1 - p2) / se if se > 0 else 0.0
-        pval = float(2.0 * ndtr(-zstat))
-        outcomes.append(TestOutcome(name, float(zstat), level, pval, pval >= level))
-
-    # (d) independence of segments through bounded summaries; the left
+    # (c) independence of segments through bounded summaries; the left
     # chain starts at the inner chain's endpoint, so for that pair we
     # correlate against its martingale increment, whose conditional mean
     # is zero under the null
@@ -367,15 +266,3 @@ def rk_statistical_test(
         family_level=family_level,
         passed=passed,
     )
-
-
-def _f_conditional_cdf(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Conditional CDF of the inward kernel: P(next <= h2 | current = h1).
-
-    With next = Gamma(N + 1, 1) for N ~ Poisson(h1), the event
-    {Gamma(N + 1) <= h2} equals {M >= N + 1} for an independent
-    M ~ Poisson(h2), so the CDF is a Skellam tail probability.
-    """
-    from scipy.stats import skellam
-
-    return skellam.sf(0, np.asarray(h2, dtype=float), np.asarray(h1, dtype=float))

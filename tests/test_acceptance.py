@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import iv
 
 from loctimes.chain import RangeSpec, box_srw, validate_generator
 from loctimes.cli import main as cli_main
@@ -32,7 +33,7 @@ from loctimes.oracles import (
     resolvent_check,
     simplex_integrate,
 )
-from loctimes.rayknight import bessel_i, f_kernel, pstar_kernel, rk_statistical_test
+from loctimes.rayknight import f_kernel, pstar_kernel, rk_statistical_test
 from loctimes.simulate import mc_event_functional
 
 
@@ -67,8 +68,8 @@ def test_criterion_01_two_state_closed_form():
                 z = 2.0 * np.sqrt(p * q * l1 * l2)
                 damp = np.exp(-p * l1 - q * l2)
                 refs = {
-                    RangeSpec((0, 1), 0, 0): damp * np.sqrt(p * q * l1 / l2) * bessel_i(1, z),
-                    RangeSpec((0, 1), 0, 1): p * damp * bessel_i(0, z),
+                    RangeSpec((0, 1), 0, 0): damp * np.sqrt(p * q * l1 / l2) * iv(1, z),
+                    RangeSpec((0, 1), 0, 1): p * damp * iv(0, z),
                 }
                 for spec, ref in refs.items():
                     for fn in (density_series, density_quadrature, density_finite_difference):

@@ -489,6 +489,16 @@ def test_batch_values_reject_bad_rows(L, match):
         ev.values(L)
 
 
+@pytest.mark.parametrize("l", [(np.nan, 1.0), (np.inf, 1.0)], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", [density_series, density_quadrature, density_finite_difference,
+                                local_time_density])
+def test_point_evaluators_reject_non_finite_times(fn, l):
+    # rejected before any work: the quadrature would return -0.0 with a nan
+    # error estimate, the series a ConvergenceError at degree 80
+    with pytest.raises(ValueError, match="positive and finite"):
+        fn(TWO_STATE, SPEC_AB, l)
+
+
 def test_batch_blocks_match_rows_one_at_a_time():
     # 587 grid rows, the one nearest the boundary (min l = 3.7e-6) among
     # them: over the 812 monomials of degree 12 a block holds 161 rows, so

@@ -1,60 +1,26 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest, skellam
+from scipy.stats import kstest
 
+from loctimes import rayknight
 from loctimes.chain import RangeSpec, box_srw
 from loctimes.density import density_quadrature, density_series
 from loctimes.rayknight import (
-    ProfileBatch,
-    bessel_i,
-    bessel_i_scaled,
     f_kernel,
-    ks_two_sample,
     pstar_kernel,
     rk_statistical_test,
-    sample_f,
-    sample_pstar,
     simulate_profiles,
-    _quantile_bins,
+    _kernel_cdf,
+    _ks_uniform,
 )
 
 # frozen references
 I0_2 = 2.2795853023360673
 I1_2 = 1.5906368546373291
-
-
-def test_bessel_frozen_values():
-    assert abs(bessel_i(0, 2.0) - I0_2) < 1e-14
-    assert abs(bessel_i(1, 2.0) - I1_2) < 1e-14
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(1, 0.0) == 0.0
-
-
-def test_bessel_scaled_against_mpmath():
-    mp = pytest.importorskip("mpmath")
-    for order in (0, 1):
-        for z in (0.1, 1.0, 7.0, 29.0, 31.0, 100.0, 300.0, 1e3, 1e4):
-            ref = float(mp.besseli(order, z) * mp.exp(-z))
-            assert abs(bessel_i_scaled(order, z) - ref) <= 1e-14 * max(ref, 1.0)
-
-
-def test_bessel_guards():
-    with pytest.raises(ValueError):
-        bessel_i_scaled(2, 1.0)
-    with pytest.raises(ValueError):
-        bessel_i_scaled(0, -1.0)
-    with pytest.raises(OverflowError):
-        bessel_i(0, 701.0)
-
-
-def test_bessel_scaled_vectorized():
-    z = np.array([0.5, 10.0, 50.0])
-    out = bessel_i_scaled(0, z)
-    assert out.shape == (3,)
-    assert np.all(np.diff(out) < 0)  # scaled I0 decays
 
 
 def test_f_kernel_normalization_and_mean():
@@ -67,6 +33,36 @@ def test_f_kernel_normalization_and_mean():
 
 def test_f_kernel_point_value():
     assert abs(f_kernel(1.0, 1.0) - np.exp(-2.0) * I0_2) < 1e-14
+
+
+def test_pstar_kernel_point_value():
+    assert abs(pstar_kernel(1.0).density(1.0) - np.exp(-2.0) * I1_2) < 1e-14
+
+
+@pytest.mark.parametrize("h1, h2", [(0.1, 3.0), (30.0, 31.0), (500.0, 500.0), (1e4, 1.01e4)])
+def test_kernels_against_mpmath(h1, h2):
+    # far past the overflow of I_0 and I_1 (z near 700) the scaled form
+    # keeps full relative accuracy
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        z = 2 * mp.sqrt(mp.mpf(h1) * h2)
+        damp = mp.exp(-mp.mpf(h1) - h2)
+        f_ref = float(damp * mp.besseli(0, z))
+        p_ref = float(damp * mp.sqrt(mp.mpf(h1) / h2) * mp.besseli(1, z))
+    assert abs(f_kernel(h1, h2) - f_ref) <= 1e-13 * f_ref
+    assert abs(pstar_kernel(h1).density(h2) - p_ref) <= 1e-13 * p_ref
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_kernels_reject_bad_arguments(bad):
+    with pytest.raises(ValueError):
+        f_kernel(bad, 1.0)
+    with pytest.raises(ValueError):
+        f_kernel(1.0, np.array([1.0, bad]))
+    with pytest.raises(ValueError):
+        pstar_kernel(bad)
+    with pytest.raises(ValueError):
+        pstar_kernel(1.0).density(bad)
 
 
 def test_pstar_kernel_mass_and_mean():
@@ -85,79 +81,28 @@ def test_pstar_zero_level():
     assert np.all(k.density(np.array([0.5, 1.0])) == 0.0)
 
 
-def test_sample_f_matches_kernel():
-    rng = np.random.default_rng(0)
-    h1 = 1.3
-    x = sample_f(np.full(40_000, h1), rng)
-    # probability integral transform through the Skellam tail identity
-    u = skellam.sf(0, x, h1)
-    assert kstest(u, "uniform").pvalue > 1e-3
-    assert abs(x.mean() - (1.0 + h1)) < 5 * x.std() / np.sqrt(len(x))
-
-
-def test_sample_pstar_matches_kernel():
-    rng = np.random.default_rng(1)
-    h1 = 0.9
-    x = sample_pstar(np.full(60_000, h1), rng)
-    atom_frac = np.mean(x == 0.0)
-    p0 = np.exp(-h1)
-    assert abs(atom_frac - p0) < 5 * np.sqrt(p0 * (1 - p0) / len(x))
-    pos = x[x > 0]
+@pytest.mark.parametrize("h1", [1e-3, 0.05, 1.0, 7.0])
+def test_kernel_cdfs_are_the_kernels_integrals(h1):
+    # the battery's exact conditional laws: the Skellam tails against the
+    # integrals of the densities, the outward one with its atom e^{-h1}
     k = pstar_kernel(h1)
-    grid = np.linspace(1e-9, 30.0, 400)
-    dens = k.density(grid) / (1.0 - k.atom)
-    cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
-    u = np.interp(pos, grid, cdf_grid)
-    assert kstest(u, "uniform").pvalue > 1e-3
+    opts = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+    for y in (0.01, 1.0, 10.0, 50.0):
+        inward = quad(lambda v: f_kernel(h1, v), 0, y, **opts)[0]
+        outward = k.atom + quad(k.density, 0, y, **opts)[0]
+        assert abs(_kernel_cdf(h1, y) - inward) <= 1e-12, y
+        assert abs(_kernel_cdf(h1, y, outward=True) - outward) <= 1e-12, y
 
 
-def test_ks_two_sample_sanity():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=4000)
-    y = rng.normal(size=4000)
-    d, p = ks_two_sample(x, y)
-    assert p > 1e-3
-    d2, p2 = ks_two_sample(x, y + 0.5)
-    assert p2 < 1e-10
-    from scipy.stats import ks_2samp
-
-    ref = ks_2samp(x, y)
-    assert abs(d - ref.statistic) < 1e-12
-
-
-def test_ks_tail_against_jacobi_theta():
-    """The asymptotic p-value against a 30-digit evaluation of the theta
-    form 1 - (sqrt(2 pi)/lam) sum_k exp(-(2k-1)^2 pi^2 / (8 lam^2))."""
-    n = 20000
-    x = np.arange(float(n))
-    # D = 1/n: lam = 0.005, where the tail is 1 to double precision and a
-    # truncated alternating series is far off
-    d, p = ks_two_sample(x, x + 0.5)
-    assert d == pytest.approx(1 / n, rel=1e-12)
-    assert p > 1.0 - 1e-12
-    mp = pytest.importorskip("mpmath")
-    # a shift of c - 1/2 gives D = c/n, so lam = c / sqrt(2n) = c / 200
-    for lam_target, c in ((0.005, 1), (0.05, 10), (0.3, 60), (0.8, 160), (1.5, 300)):
-        d, p = ks_two_sample(x, x + c - 0.5)
-        with mp.workdps(30):
-            lam = mp.sqrt(mp.mpf(n) / 2) * mp.mpf(d)
-            assert abs(lam - lam_target) < 1e-12
-            cdf = mp.sqrt(2 * mp.pi) / lam * mp.nsum(
-                lambda k: mp.exp(-((2 * k - 1) ** 2) * mp.pi ** 2 / (8 * lam ** 2)), [1, mp.inf]
-            )
-            ref = float(1 - cdf)
-        assert abs(p - ref) <= 1e-14, (lam_target, p, ref)
-
-
-def test_quantile_bins_cover_and_fill():
-    rng = np.random.default_rng(3)
-    h1 = rng.gamma(2.0, size=5000)
-    bins = _quantile_bins(h1, min_per_bin=500)
-    total = np.concatenate(bins)
-    assert len(total) == len(h1)
-    assert len(np.unique(total)) == len(h1)
-    assert all(len(b) >= 500 for b in bins)
-    assert _quantile_bins(np.ones(100))[0].shape == (100,)
+def test_ks_uniform_is_the_asymptotic_kstest():
+    # skewed below and above the diagonal, so each side of D sets it once
+    v = np.random.default_rng(2).uniform(size=4000)
+    for power in (1.02, 0.98):
+        d, p = _ks_uniform(v ** power)
+        ref = kstest(v ** power, "uniform", method="asymp")
+        assert d == pytest.approx(ref.statistic, rel=1e-14)
+        assert p == pytest.approx(ref.pvalue, rel=1e-12)
+    assert _ks_uniform(v ** 1.12)[1] < 1e-6
 
 
 def test_simulate_profiles_exact_level():
@@ -199,6 +144,64 @@ def test_rk_battery_small():
     rows = list(report.rows())
     assert all(r["passed"] for r in rows)
     assert report.n_censored == 0
+
+
+@pytest.fixture(scope="module")
+def small_batch():
+    return simulate_profiles(b=2, h=1.0, n_paths=20_000, seed=5)
+
+
+def _battery_on(monkeypatch, batch, records):
+    """The small battery run on ``records`` in place of its simulation."""
+    prepared = dataclasses.replace(batch, records=records)
+    monkeypatch.setattr(rayknight, "simulate_profiles", lambda *args, **kwargs: prepared)
+    report = rk_statistical_test(b=2, h=1.0, n_paths=20_000, seed=5)
+    return {o.name: o for o in report.outcomes}, report.passed
+
+
+def _inward_scaled(records, col):
+    records[:, col(0):col(2)] *= 1.05
+
+
+def _outward_zeros(records, col):
+    # 2% of the positive values at b + 1 moved onto the atom
+    pos = np.flatnonzero(records[:, col(3)] > 0)
+    records[pos[::50], col(3)] = 0.0
+
+
+def _left_shuffled(records, col):
+    # the left segment of other paths: right law, lost dependence on L(0)
+    perm = np.random.default_rng(0).permutation(len(records))
+    records[:, :col(0)] = records[perm, :col(0)]
+
+
+@pytest.mark.parametrize("perturb, fails", [
+    (_inward_scaled, "inward[2->1]"),
+    (_outward_zeros, "outward-atom[2->3]"),
+    (_left_shuffled, "outward-positive[0->-1]"),
+], ids=["inward-x1.05", "outward-zeros-2pct", "left-shuffled"])
+def test_battery_rejects_perturbed_profiles(monkeypatch, small_batch, perturb, fails):
+    records = small_batch.records.copy()
+    perturb(records, lambda x: x + small_batch.depth)
+    outcomes, passed = _battery_on(monkeypatch, small_batch, records)
+    assert not passed
+    assert not outcomes[fails].passed
+
+
+def test_battery_guards(monkeypatch, small_batch):
+    col = lambda x: x + small_batch.depth
+    # a live level at b + 1 so small that 1 - e^{-h1} rounds to 0
+    records = small_batch.records.copy()
+    records[np.flatnonzero(records[:, col(3)] > 0)[:200], col(3)] = 1e-300
+    outcomes, _ = _battery_on(monkeypatch, small_batch, records)
+    assert np.isfinite(outcomes["outward-positive[3->4]"].statistic)
+    # every atom at b underflows and no zero follows: z reads 0
+    records = small_batch.records.copy()
+    records[:, col(2)] = 800.0
+    records[records[:, col(3)] == 0, col(3)] = 1.0
+    outcomes, _ = _battery_on(monkeypatch, small_batch, records)
+    atom = outcomes["outward-atom[2->3]"]
+    assert (atom.statistic, atom.p_value, atom.passed) == (0.0, 1.0, True)
 
 
 def _kernel_product(lo, hi, b, l):
