@@ -5,12 +5,14 @@ range R, runs from ``start`` to ``end``, is a cofactor-determinant
 differential operator applied to an angular integral.  This module evaluates
 it three ways:
 
-* ``density_series`` -- expand the angular integral into a sum over balanced
-  integer flows and apply the derivative operator analytically, term by term;
+* ``density_series`` -- expand the angular integral into its power series in
+  the local times, with coefficients from the principal minors of the jump
+  rates (MacMahon's master theorem), and apply the derivative operator
+  analytically, monomial by monomial;
 * ``density_quadrature`` -- the derivative-free form: a complex cofactor
   determinant integrated over angles with a periodic trapezoidal rule;
 * ``density_finite_difference`` -- apply the derivative operator to the
-  angular integral's flow series by Richardson-extrapolated mixed central
+  angular integral's series by Richardson-extrapolated mixed central
   differences, the stencils of both steps evaluated as one batch
   (test-only; least accurate).
 
@@ -21,14 +23,14 @@ evaluators are meant for the open simplex only.
 from __future__ import annotations
 
 import itertools
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import prod
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ive
+from scipy.optimize import linear_sum_assignment
+from scipy.special import factorial, gammainc, gammaln, ive
 
 from .chain import Generator, RangeSpec
 
@@ -43,7 +45,7 @@ __all__ = [
     "SeriesEvaluator",
 ]
 
-FLOW_LIMIT = 2_000_000
+TABLE_LIMIT = 10_000_000
 MAX_DEGREE = 80
 QUADRATURE_NODE_LIMIT = 2 ** 24
 
@@ -76,234 +78,190 @@ def as_times(spec: RangeSpec, l) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# balanced flows
+# the monomial table
 
 
-class _Packing:
-    """Rows of nonnegative integers below 2**bits, packed into int64 words.
-
-    Field e sits in word e // per_word, the first field of a word in its
-    highest bits, and bit 63 stays clear.  So comparing the words in turn
-    orders packed rows lexicographically, and adding packed rows adds
-    their fields as long as no field sum reaches 2**bits."""
-
-    def __init__(self, n_fields: int, bits: int):
-        per_word = 63 // bits
-        e = np.arange(n_fields)
-        self.word = e // per_word
-        self.shift = bits * (per_word - 1 - e % per_word)
-        self.mask = (1 << bits) - 1
-        self.words = max(1, -(-n_fields // per_word))
-        self.matrix = np.zeros((n_fields, self.words), dtype=np.int64)
-        self.matrix[e, self.word] = np.left_shift(1, self.shift)
-
-    def pack(self, rows: np.ndarray) -> np.ndarray:
-        return rows @ self.matrix
-
-    def unpack(self, keys: np.ndarray) -> np.ndarray:
-        return (keys[:, self.word] >> self.shift) & self.mask
-
-
-def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of packed keys in lexicographic order, and each
-    input row's index among them."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inverse = np.empty(len(ordered), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
-def _simple_cycles(support: np.ndarray, longest: int) -> np.ndarray:
-    """Edge-count rows, over the support's edges in row-major order, of the
-    simple cycles of at most ``longest`` sites on the digraph ``support``,
-    each found once by backtracking from its smallest site; past
-    ``FLOW_LIMIT`` of them, each itself a flow, it raises ``CapacityError``."""
+def _covers(support: np.ndarray) -> list[tuple]:
+    """The site sets S, smallest first, on which the digraph ``support``
+    has a cycle cover: a permutation of S along its edges, which is a
+    perfect matching of S to S.  Only for these can det(B_SS) be nonzero.
+    Raises ``CapacityError`` before the scan when its 2^n - n - 1 subsets
+    pass ``TABLE_LIMIT``."""
     n = len(support)
-    edge = (np.cumsum(support) - 1).reshape(n, n).tolist()  # a support edge's index
-    succ = [np.flatnonzero(row).tolist() for row in support]
-    flat, lengths, stack = array("i"), [], []  # the cycles' edges, their lengths, the path's edges
-
-    def grow(start: int, x: int, visited: int):  # visited: one bit per site on the path
-        for y in succ[x]:
-            stack.append(edge[x][y])
-            if y == start:
-                flat.extend(stack)
-                lengths.append(len(stack))
-                if len(lengths) > FLOW_LIMIT:
-                    raise CapacityError(f"more than {FLOW_LIMIT} simple cycles on {n} sites")
-            elif y > start and not visited >> y & 1 and len(stack) < longest:
-                grow(start, y, visited | 1 << y)
-            stack.pop()
-
-    for x in range(n):
-        grow(x, x, 0)
-    rows = np.zeros((len(lengths), int(support.sum())), dtype=np.int64)
-    rows[np.repeat(np.arange(len(lengths)), lengths), flat] = 1
-    return rows
+    if 2 ** n - n - 1 > TABLE_LIMIT:
+        raise CapacityError(f"more than {TABLE_LIMIT} site subsets to scan on {n} sites")
+    out = []
+    for size in range(2, n + 1):
+        for S in itertools.combinations(range(n), size):
+            miss = ~support[np.ix_(S, S)]
+            if not miss[linear_sum_assignment(miss)].any():
+                out.append(S)
+    return out
 
 
-class _FlowTable:
-    """Balanced flows on the digraph ``support``, complete through degree
-    ``max_degree``, stored as counts on the support's edges in row-major
-    order; a flow with a count off the support has coefficient 0.
+class _MonomialTable:
+    """The monomials l^d of theta_B on the digraph ``support``, complete
+    through degree ``max_degree``, with the triples of the recurrence that
+    gives their coefficients.
 
-    A flow enters the series only through its coefficient and its
-    monomial prod_x l_x^{deg_x/2}, where deg_x is the in + out degree at
-    site x.  Flows with equal site degrees share a monomial, so the table
-    also keeps the distinct site-degree rows (``powers``, halved; they are
-    all even) and each flow's row in them (``monomial``).  Flows and
-    monomials are both in degree order, lexicographic within a degree, so
-    those of degree <= K are a prefix of each.
+    A balanced flow n on the support enters theta_B(l) as prod B_xy^n_xy /
+    n_xy! times l^d, d_x the out-degree (and in-degree) of site x, so l^d
+    has the coefficient a_d summed over the flows with out-degrees d, of
+    degree |d| = sum_x d_x.  By MacMahon's master theorem d! a_d is the
+    coefficient of x^d in 1 / det(I - diag(x) B) = 1 / sum_S c_S x^S, with
+    c_S = (-1)^|S| det(B_SS) and c_{} = 1, so
 
-    ``extend`` appends one layer per degree.  Every balanced flow is a sum
-    of simple directed cycles (flow decomposition), so the flows of degree
-    k are those of degree k - |c| plus a cycle c of the support,
-    deduplicated.  A flow is held as a packed key of its counts, so adding
-    a cycle is an integer add, and sorting the keys both deduplicates a
-    layer and puts it in lexicographic order.  Every cycle through an edge
-    adds at least 2 to the degree, so no count exceeds K // 2.
+        d! a_d = -sum_S c_S (d - 1_S)! a_{d - 1_S},  a_0 = 1,
+
+    over the covers S (``_covers``), the only S where c_S can be nonzero.
+    So the monomials of degree k are the d + 1_S over the covers S and the
+    monomials d of degree k - |S|, and each such pair makes a triple
+    (S, d, d + 1_S) of the recurrence.  Layer k keeps its monomials,
+    ``powers[start[k]:start[k + 1]]``, and per triple the index of d + 1_S
+    among them, ``targets[k]``, the triples ordered by cover size, cover
+    and d: the d of a cover of size s run through all of layer k - s, in
+    order.
+
+    A layer is built from packed integer keys of d.  Every cover through x
+    has at least two sites, so d_x <= |d| / 2, and with that many bits per
+    site adding keys adds the d; sorting the candidate keys deduplicates
+    the layer.
     """
 
-    _LAYERED = ("counts", "degree", "inv_factorial", "powers", "monomial", "monomial_degree")
-
     def __init__(self, support: np.ndarray):
-        n = len(support)
-        self.support = support
-        x, y = np.nonzero(support)
-        self.ends = np.eye(n, dtype=np.int64)[x] + np.eye(n, dtype=np.int64)[y]  # per edge
-        self.max_degree = -1
-        self.counts = np.zeros((0, len(x)), dtype=np.int64)
-        self.degree = np.zeros(0, dtype=np.int64)
-        self.inv_factorial = np.zeros(0)
-        self.powers = np.zeros((0, n))
-        self.monomial = np.zeros(0, dtype=np.intp)
-        self.monomial_degree = np.zeros(0, dtype=np.int64)
+        covers = _covers(support)
+        self.n = len(support)
+        # per cover size s, the covers of that size as a (covers, s) array of sites
+        self.covers = {s: np.array([S for S in covers if len(S) == s], dtype=np.intp)
+                       for s in sorted({len(S) for S in covers})}
+        self.max_degree = 0
+        self.powers = np.zeros((1, self.n))
+        self.start = [0, 1]
+        self.targets = [np.zeros(0, dtype=np.int32)]
+        self.kept = 1  # monomials plus triples
+
+    def size(self, K: int) -> int:
+        """The number of monomials of degree <= K."""
+        return self.start[min(K, self.max_degree) + 1]
 
     def extend(self, max_degree: int):
         """Append the layers through ``max_degree``.  Raises
-        ``CapacityError`` when a layer would take the flow count past
-        ``FLOW_LIMIT``; the layers below it are kept."""
+        ``CapacityError`` when a layer would take the monomials and triples
+        kept past ``TABLE_LIMIT``, tested on its triples before the layer
+        is built and on its monomials after; the layers below it are kept."""
         if max_degree <= self.max_degree:
             return
-        n_edges, n = self.ends.shape
         bits = max(1, (max_degree // 2).bit_length())
-        flows, sites = _Packing(n_edges, bits), _Packing(n, bits)
-        rows = _simple_cycles(self.support, min(n, max_degree))
-        cycles = list(zip(flows.pack(rows), rows.sum(axis=1)))
-        keys = {}  # degree -> the layer's sorted keys
-        for k in range(max(0, self.max_degree + 1 - n), self.max_degree + 1):
-            lo, hi = np.searchsorted(self.degree, [k, k + 1])
-            keys[k] = flows.pack(self.counts[lo:hi])
-        parts = {name: [getattr(self, name)] for name in self._LAYERED}
-        total, n_monomials = len(self.counts), len(self.powers)
+        per_word = 63 // bits
+        sites = np.arange(self.n)
+        word, shift = sites // per_word, bits * (sites % per_word)
+        words = word[-1] + 1
+        pack = np.zeros((self.n, words), dtype=np.int64)
+        pack[sites, word] = np.left_shift(1, shift)
+        keys = {k: self.powers[self.start[k] : self.start[k + 1]].astype(np.int64) @ pack
+                for k in range(max(0, self.max_degree + 1 - self.n), self.max_degree + 1)}
+
+        def check(count: int, k: int):
+            if self.kept + count > TABLE_LIMIT:
+                raise CapacityError(
+                    f"more than {TABLE_LIMIT} monomials and triples at degree <= {k}")
+
+        new = []
         try:
             for k in range(self.max_degree + 1, max_degree + 1):
-                layer = np.zeros((int(k == 0), flows.words), dtype=np.int64)
-                pending, waiting = [], 0
-                for i, (key, length) in enumerate(cycles):
-                    if length <= k:
-                        pending.append(keys[k - length] + key)
-                        waiting += len(pending[-1])
-                    # merging once the candidates outnumber the merged keys
-                    # holds at most about twice the room left at a time
-                    if pending and (i == len(cycles) - 1 or waiting > len(layer)):
-                        layer = _unique_rows(np.concatenate([layer, *pending]))[0]
-                        pending, waiting = [], 0
-                        if total + len(layer) > FLOW_LIMIT:
-                            break
-                if total + len(layer) > FLOW_LIMIT:
-                    raise CapacityError(f"more than {FLOW_LIMIT} balanced flows at degree <= {k}")
+                steps = [(pack[S].sum(axis=1), keys[k - s])
+                         for s, S in self.covers.items() if s <= k]
+                triples = sum(len(cover) * len(prev) for cover, prev in steps)
+                check(triples, k)
+                candidates = [(cover[:, None] + prev).reshape(-1, words) for cover, prev in steps]
+                layer, target = _distinct(np.concatenate([np.zeros((0, words), np.int64),
+                                                          *candidates]))
+                check(triples + len(layer), k)
                 keys[k] = layer
-                counts = np.ascontiguousarray(flows.unpack(layer))
-                rows, index = _unique_rows(sites.pack(counts @ self.ends // 2))  # in + out, halved
-                new = {
-                    "counts": counts,
-                    "degree": np.full(len(layer), k, dtype=np.int64),
-                    "inv_factorial": np.exp(-np.sum(_LOG_FACT[counts], axis=1)),
-                    "powers": sites.unpack(rows).astype(float),
-                    "monomial": n_monomials + index,
-                    "monomial_degree": np.full(len(rows), k, dtype=np.int64),
-                }
-                for name, arr in new.items():
-                    parts[name].append(arr)
-                total += len(layer)
-                n_monomials += len(rows)
+                new.append(((layer[:, word] >> shift) & ((1 << bits) - 1)).astype(float))
+                self.targets.append(target.astype(np.int32))
+                self.start.append(self.start[-1] + len(layer))
+                self.kept += triples + len(layer)
                 self.max_degree = k
         finally:
-            for name, arrs in parts.items():
-                setattr(self, name, np.concatenate(arrs))
-
-    def sizes(self, K: int) -> tuple[int, int]:
-        """Numbers of flows and of monomials of degree <= K."""
-        return (int(np.searchsorted(self.degree, K, side="right")),
-                int(np.searchsorted(self.monomial_degree, K, side="right")))
+            self.powers = np.concatenate([self.powers, *new])
 
 
-def _block_rows(width: int) -> int:
-    """Rows per block of the (flows, edges) powers of ``_weights``: at most
-    about a million elements (8 MB of float64), and at least 32 rows."""
-    return max(32, 1_000_000 // max(width, 1))
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of packed keys, sorted, and each row's index among
+    them; one-word keys sort as plain integers."""
+    if keys.shape[1] == 1:
+        rows, index = np.unique(keys[:, 0], return_inverse=True)
+        return rows[:, None], index
+    rows, index = np.unique(keys, axis=0, return_inverse=True)
+    return rows, index.ravel()
 
 
 PASS_BLOCK = 1 << 17  # elements of the monomial pass's buffer (1 MB of float64)
-_LOG_FACT = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 200)))))
-_FLOW_TABLES: dict[bytes, _FlowTable] = {}
+_TABLES: dict[bytes, _MonomialTable] = {}
 
 
 # ---------------------------------------------------------------------------
-# the angular integral as a flow series
+# the angular integral as a power series
 
 
 class _FlowSeries:
     """exp(diag . l) sum_j det_j (prod_{x in Q_j} d/dl_x) theta_B(l) over the
     pairs (Q_j, det_j) of ``terms``, where diag and B are the diagonal and
     off-diagonal parts of the real or complex matrix ``A`` and theta_B is
-    the angular integral of B, summed as its balanced-flow series degree by
-    degree to the first degree K where every row's truncation bound is at
-    most tol times its partial sum.  d/dl_x takes a monomial prod l^(deg/2)
-    to deg_x / (2 l_x) times it.
+    the angular integral of B, summed as its series sum_d a_d l^d degree by
+    degree (``_MonomialTable``) to the first degree K where every row's
+    truncation bound is at most tol times its partial sum.  d/dl_x takes a
+    monomial l^d to 2 d_x / (2 l_x) times it.
 
-    The bound: each flow's coefficient is at most its term in e^s,
-    s = sum_{x != y} |B_xy| sqrt(l_x l_y), in powers of sqrt(l), and d/dl_x
-    keeps such terms nonnegative; s being a sum of pair terms, Faa di Bruno
-    bounds the error of (Q, det) by |exp(diag . l) det| sum_pi prod_{b in pi}
-    d_b s T(s, K - |pi|), pi over the partitions of Q into blocks of one or
-    two sites, T(s, k) = sum_{i>k} s^i / i! (e^s for k < 0).
+    The bound: a_d sums the balanced flows with out-degrees d, each flow's
+    term is at most its term in e^s, s = sum_{x != y} |B_xy| sqrt(l_x l_y),
+    in powers of sqrt(l), and d/dl_x keeps such terms nonnegative; s being
+    a sum of pair terms, Faa di Bruno bounds the error of (Q, det) by
+    |exp(diag . l) det| sum_pi prod_{b in pi} d_b s T(s, K - |pi|), pi over
+    the partitions of Q into blocks of one or two sites, T(s, k) =
+    sum_{i>k} s^i / i! (e^s for k < 0).
     """
 
     def __init__(self, A: np.ndarray, terms: list, tol: float):
         self.diag = np.diag(A).copy()
         self.B = A - np.diag(self.diag)
         support = self.B != 0
-        self.rates = self.B[support]  # in the order of the table's edges
         key = support.tobytes()  # one table per support pattern; n^2 bytes fix n
-        if key not in _FLOW_TABLES:
-            _FLOW_TABLES[key] = _FlowTable(support)
-        self.table = _FLOW_TABLES[key]
+        if key not in _TABLES:
+            _TABLES[key] = _MonomialTable(support)
+        self.table = _TABLES[key]
         self.terms = terms
         self.tol = tol
-        self._W, self._through = np.zeros((0, len(terms))), -1
+        # c_S = (-1)^|S| det(B_SS) of the covers, by cover size
+        self._minors = {s: (-1) ** s * np.linalg.det(self.B[S[:, :, None], S[:, None, :]])
+                        for s, S in self.table.covers.items()}
+        self._W, self._coef, self._through = np.zeros((0, len(terms))), [np.ones(1)], -1
 
     def _weights(self, K: int) -> np.ndarray:
-        """Per monomial of degree <= K and per term: the summed coefficients
-        prod B_xy^n_xy / n_xy! of its flows times prod_{x in Q} deg_x."""
+        """Per monomial of degree <= K and per term (Q, det): its
+        coefficient a_d times prod_{x in Q} 2 d_x.  ``_coef[k]`` holds
+        d! a_d for the monomials of degree k, by the recurrence of
+        ``_MonomialTable``: per degree, one ``bincount`` of c_S (d! a_d)
+        over the triples (S, d, d + 1_S) into their targets."""
         if K > self._through:
             tab = self.table
-            (f0, m0), (f1, m1) = tab.sizes(self._through), tab.sizes(K)
-            coeff = np.empty(f1 - f0, dtype=self.rates.dtype)
-            step = _block_rows(len(self.rates))  # the (flows, edges) powers, in blocks
-            for a in range(f0, f1, step):
-                b = min(a + step, f1)
-                coeff[a - f0 : b - f0] = np.prod(self.rates ** tab.counts[a:b], axis=1)
-            coeff *= tab.inv_factorial[f0:f1]
-            agg = np.zeros(m1 - m0, dtype=coeff.dtype)
-            np.add.at(agg, tab.monomial[f0:f1] - m0, coeff)
-            W = np.empty((m1 - m0, len(self.terms)), dtype=agg.dtype)
+            for k in range(len(self._coef), K + 1):
+                w = np.concatenate([np.zeros(0, self.B.dtype)] +
+                                   [np.outer(c, self._coef[k - s]).ravel()
+                                    for s, c in self._minors.items() if s <= k])
+                t, size = tab.targets[k], tab.start[k + 1] - tab.start[k]
+                coef = -np.bincount(t, weights=w.real, minlength=size)
+                if np.iscomplexobj(w):
+                    coef = coef - 1j * np.bincount(t, weights=w.imag, minlength=size)
+                self._coef.append(coef)
+            m0, m1 = tab.size(self._through), tab.size(K)
+            powers = tab.powers[m0:m1]
+            d_fact = np.prod(factorial(powers), axis=1)
+            a = np.concatenate(self._coef[self._through + 1 :]) / d_fact
+            W = np.empty((m1 - m0, len(self.terms)), dtype=a.dtype)
             for j, (Q, _) in enumerate(self.terms):
-                W[:, j] = agg * np.prod(2.0 * tab.powers[m0:m1, Q], axis=1)
+                W[:, j] = a * np.prod(2.0 * powers[:, Q], axis=1)
             self._W, self._through = np.concatenate([self._W, W]), K
         return self._W
 
@@ -318,7 +276,7 @@ class _FlowSeries:
         memory does not grow with its degree."""
         tab = self.table
         tab.extend(hi)
-        m0, m1 = tab.sizes(lo)[1], tab.sizes(hi)[1]
+        m0, m1 = tab.size(lo), tab.size(hi)
         W, powers = self._weights(hi)[m0:m1], tab.powers[m0:m1]
         out = np.empty(len(logL), dtype=W.dtype)
         chunk = max(1, PASS_BLOCK // max(len(powers), 1))
@@ -415,7 +373,7 @@ class _FlowSeries:
         """Values and truncation bounds at the rows of ``L``, all summed through
         the one stopping degree; raises ``ValueError`` unless ``L`` is 2-D with
         one positive, finite local time per site, ``ConvergenceError`` past
-        ``MAX_DEGREE`` and ``CapacityError`` past ``FLOW_LIMIT``."""
+        ``MAX_DEGREE`` and ``CapacityError`` past ``TABLE_LIMIT``."""
         L = np.asarray(L, dtype=float)
         if L.ndim != 2 or L.shape[1] != len(self.diag):
             raise ValueError(f"expected rows of {len(self.diag)} local times, got shape {L.shape}")
@@ -426,7 +384,7 @@ class _FlowSeries:
 
 def theta_integral_series(B_tilde, l, tol: float = 1e-12):
     """Evaluate the angular integral of ``exp(sum B~[x,y] sqrt(l_x l_y)
-    e^{i(theta_x - theta_y)})`` as its balanced-flow power series.
+    e^{i(theta_x - theta_y)})`` as its power series in l.
 
     Diagonal entries contribute a plain exponential factor and are split off
     first.  Works for real or complex matrices.  Returns ``(value,
@@ -483,7 +441,7 @@ def _derivative_expansion(M: np.ndarray, a_pos: int, b_pos: int):
 
 
 class SeriesEvaluator(_FlowSeries):
-    """Flow-series density evaluator, reusable across many local-time
+    """Series density evaluator, reusable across many local-time
     vectors on the same (generator, range) pair."""
 
     def __init__(self, gen: Generator, spec: RangeSpec, tol: float = 1e-10):
@@ -495,16 +453,15 @@ class SeriesEvaluator(_FlowSeries):
 
 
 def density_series(gen: Generator, spec: RangeSpec, l, tol: float = 1e-10) -> DensityResult:
-    """Flow-series evaluation of the local-time density."""
+    """Series evaluation of the local-time density."""
     ev = SeriesEvaluator(gen, spec, tol=tol)
     value, err, K = ev._sum(as_times(spec, l)[None, :])
-    flows, monomials = ev.table.sizes(K)
     return DensityResult(
         value=value[0].item(),
         method="series",
         error_estimate=float(err[0]),
-        meta={"tol": tol, "range_size": spec.size, "degree": K, "flows": flows,
-              "monomials": monomials},
+        meta={"tol": tol, "range_size": spec.size, "degree": K,
+              "monomials": ev.table.size(K)},
     )
 
 
@@ -632,7 +589,7 @@ def density_finite_difference(
     tol: float = 1e-10,
 ) -> DensityResult:
     """Apply the cofactor-determinant operator (full rates, including the
-    diagonal) to the angular integral's flow series by mixed central
+    diagonal) to the angular integral's series by mixed central
     differences, with Richardson extrapolation over step halving.
 
     The default step grows with the differentiation order: high-order
@@ -672,7 +629,7 @@ def density_finite_difference(
 def local_time_density(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) -> DensityResult:
     """Evaluate the density by the route chosen before any evaluation: the
     angular quadrature when its first two sized grids fit within
-    ``QUADRATURE_NODE_LIMIT`` together, the flow series otherwise."""
+    ``QUADRATURE_NODE_LIMIT`` together, the series otherwise."""
     lv = as_times(spec, l)
     N = _quadrature_grid(gen.submatrix(spec.range), lv, spec.range.index(spec.start), tol)
     if prod(N.tolist()) + prod(_refine(N).tolist()) <= QUADRATURE_NODE_LIMIT:
@@ -685,9 +642,10 @@ def gauge_invariance_check(gen: Generator, spec: RangeSpec, l, r, tol: float = 1
     conjugated by a positive radius vector; exactly zero in theory.
 
     Both series are summed through the degree the density itself needs.
-    Every balanced flow's coefficient is invariant under the conjugation,
-    so the two truncations agree termwise and the deviation measures
-    rounding, not truncation, at any tolerance."""
+    Every monomial's coefficient, and each det(B_SS) it is computed from,
+    is invariant under the conjugation, so the two truncations agree
+    termwise and the deviation measures rounding, not truncation, at any
+    tolerance."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius vector must be strictly positive")

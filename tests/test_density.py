@@ -1,12 +1,19 @@
 import functools
 import itertools
-from math import factorial
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from math import factorial, prod
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import ive
 
+import loctimes
 from loctimes.chain import RangeSpec, box_srw, validate_generator
 from loctimes.density import (
     CapacityError,
@@ -18,15 +25,13 @@ from loctimes.density import (
     gauge_invariance_check,
     local_time_density,
     theta_integral_series,
+    _covers,
     _derivative_expansion,
     _FlowSeries,
-    _FlowTable,
-    _FLOW_TABLES,
-    _LOG_FACT,
+    _MonomialTable,
+    _TABLES,
     PASS_BLOCK,
-    _block_rows,
     _quadrature_integrand,
-    _simple_cycles,
 )
 
 # frozen reference values (independently computed Bessel series)
@@ -48,7 +53,7 @@ def complete(n):
 
 
 def shared_table(support, K):
-    """The flow table every series on ``support`` uses, extended through K."""
+    """The monomial table every series on ``support`` uses, extended through K."""
     tab = _FlowSeries(support.astype(float), [((), 1.0)], 1e-10).table
     tab.extend(K)
     return tab
@@ -91,7 +96,7 @@ def simplex_grid(n):
 def _enumerate_matrices(size: int, max_degree: int) -> list:
     """All balanced nonnegative integer matrices (zero diagonal) with total
     degree at most ``max_degree``, via row-wise depth-first search: the
-    reference for the cycle-layer build of ``_FlowTable``.
+    reference for the monomials and coefficients of ``_MonomialTable``.
 
     Rows are filled in order; once a row is complete its sum is final, and
     the remaining column deficit of completed rows prunes the search.  The
@@ -150,49 +155,51 @@ def flow_counts(n, K):
     return np.array(_enumerate_matrices(n, K), dtype=np.int64).reshape(-1, n, n)
 
 
-def reference_table(support, K):
-    """The table's arrays from the reference enumeration: its flows with
-    no count off ``support``, with their counts on the support's edges in
-    row-major order, ordered by a lexsort and grouped into monomials by
-    ``np.unique``."""
-    sq = flow_counts(len(support), K)
-    sq = sq[~np.any(sq[:, ~support], axis=1)]
-    counts = np.ascontiguousarray(sq[:, support])
-    order = np.lexsort(counts.T[::-1])
-    order = order[np.argsort(counts[order].sum(axis=1), kind="stable")]
-    counts, sq = counts[order], sq[order]
-    site_degree = sq.sum(axis=1) + sq.sum(axis=2)
-    rows, index = np.unique(site_degree, axis=0, return_inverse=True)
-    by_degree = np.argsort(rows.sum(axis=1), kind="stable")
-    rank = np.empty_like(by_degree)
-    rank[by_degree] = np.arange(len(by_degree))
-    return {
-        "counts": counts,
-        "inv_factorial": np.exp(-np.sum(_LOG_FACT[counts], axis=1)),
-        "powers": (rows[by_degree] // 2).astype(float),
-        "monomial": rank[index.ravel()],
-        "monomial_degree": rows[by_degree].sum(axis=1) // 2,
-    }
+def reference_coefficients(B, K):
+    """Per out-degree vector d of the balanced flows of degree <= K on the
+    support of B, the sum of their coefficients prod B^n / n!, from the
+    brute-force enumeration."""
+    counts = flow_counts(len(B), K)
+    counts = counts[~np.any(counts[:, B == 0], axis=1)]
+    inv_fact = np.array([1.0 / factorial(k) for k in range(K + 1)])
+    coeff = np.prod(B[None] ** counts * inv_fact[counts], axis=(1, 2))
+    d, index = np.unique(counts.sum(axis=2), axis=0, return_inverse=True)
+    sums = np.zeros(len(d), dtype=coeff.dtype)
+    np.add.at(sums, index.ravel(), coeff)
+    return dict(zip(map(tuple, d.tolist()), sums))
 
 
-def assert_table_matches_reference(tab, support, K):
-    n_flows, n_monomials = tab.sizes(K)
-    ref = reference_table(support, K)
-    assert len(ref["counts"]) == n_flows and len(ref["powers"]) == n_monomials
-    for name, expected in ref.items():
-        got = getattr(tab, name)[: n_monomials if name in ("powers", "monomial_degree")
-                                 else n_flows]
-        assert got.dtype == expected.dtype, name
-        assert np.array_equal(got, expected), name
+def table_coefficients(B, K):
+    """The series' coefficient a_d per monomial l^d of degree <= K."""
+    series = _FlowSeries(B, [((), 1.0)], 1e-10)
+    series.table.extend(K)
+    a = series._weights(K)[:, 0]
+    return dict(zip(map(tuple, series.table.powers[: len(a)].astype(int).tolist()), a))
+
+
+def assert_coefficients_match(B, K):
+    got, want = table_coefficients(B, K), reference_coefficients(B, K)
+    assert got.keys() == want.keys()
+    for d, c in want.items():
+        assert abs(got[d] - c) <= 1e-13 * abs(c), d
+
+
+def assert_monomials_match(tab, support):
+    want = reference_coefficients(rates_on(support), tab.max_degree).keys()
+    assert len(tab.powers) == tab.size(tab.max_degree) == len(want)
+    assert set(map(tuple, tab.powers.astype(int).tolist())) == want
+
+
+def rates_on(support, seed=53):
+    """Rates uniform in 0.2-1.0 on the edges of ``support``, 0 elsewhere."""
+    return support * np.random.default_rng(seed).uniform(0.2, 1.0, support.shape)
 
 
 @pytest.mark.parametrize("size, K", [(2, 16), (3, 20), (4, 14), (4, 18), (7, 4)])
 def test_flow_table_matches_reference(size, K):
-    # at (7, 4), 42 off-diagonal counts of 2 bits take two key words
-    tab = _FlowTable(complete(size))
-    tab.extend(K)
-    assert tab.max_degree == K
-    assert_table_matches_reference(tab, complete(size), K)
+    # at (7, 4) the 247 covers of all sizes 2-7 meet layers of one and two
+    # pair covers
+    assert_coefficients_match(rates_on(complete(size)), K)
 
 
 @pytest.mark.parametrize("support, K", [
@@ -202,117 +209,133 @@ def test_flow_table_matches_reference(size, K):
     (np.triu(np.ones((3, 3), dtype=bool), 1), 20),
 ], ids=["path", "square", "one-way-cycle", "acyclic"])
 def test_support_table_matches_reference(support, K):
-    # a flow with a count off the support has coefficient 0, so the table
-    # holds the reference's other flows, counted on the support's edges
-    tab = _FlowTable(support)
-    tab.extend(K)
-    assert_table_matches_reference(tab, support, K)
+    # a flow that uses an edge off the support has coefficient 0, so the
+    # table holds the out-degrees of the other flows; the square's full
+    # 4x4 minor is 0, though the square is a cover
+    assert_coefficients_match(rates_on(support), K)
 
 
-def test_acyclic_support_has_only_the_zero_flow():
-    B = np.triu(np.random.default_rng(59).uniform(0.1, 0.8, (4, 4)), 1)
-    assert shared_table(B != 0, 30).sizes(30) == (1, 1)
-    # theta is 1; the bound, from the majorant e^s, does not see the support
-    value, err = theta_integral_series(B, np.array([0.3, 1.0, 2.0, 0.7]))
-    assert value == 1.0 and 0.0 < err <= 1e-12
+@pytest.mark.parametrize("support, K", [
+    (complete(3), 16),
+    (box_srw(2, 1).submatrix(SQUARE.range) > 0, 14),
+    (np.roll(np.eye(4, dtype=bool), 1, axis=1) | np.roll(np.eye(4, dtype=bool), 2, axis=1), 14),
+], ids=["complete-3", "square", "one-way-4"])
+def test_complex_coefficients_match_reference(support, K):
+    rng = np.random.default_rng(67)
+    B = rates_on(support) * np.exp(1j * rng.uniform(0, 2 * np.pi, support.shape))
+    assert_coefficients_match(B, K)
 
 
-def reference_cycles(support, longest):
-    """The edge sets of the simple cycles of at most ``longest`` sites on
-    ``support``, from the permutations of every site subset."""
-    n = len(support)
-    edge = np.cumsum(support).reshape(n, n) - 1
-    out = set()
-    for m in range(2, longest + 1):
-        for sites in itertools.combinations(range(n), m):
-            for rest in itertools.permutations(sites[1:]):
-                cycle = (sites[0],) + rest
-                pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-                if all(support[x, y] for x, y in pairs):
-                    out.add(tuple(sorted(int(edge[x, y]) for x, y in pairs)))
-    return out
-
-
-def test_cycle_search_matches_permutations():
+def test_covers_are_the_sets_with_a_cycle_cover():
+    # against the permutations of every site subset
     rng = np.random.default_rng(61)
     for _ in range(20):
         n = int(rng.integers(3, 7))
         support = rng.random((n, n)) < rng.uniform(0.2, 0.9)
         np.fill_diagonal(support, False)
-        longest = int(rng.integers(2, n + 1))
-        rows = _simple_cycles(support, longest)
-        assert rows.shape[1] == support.sum() and np.all((rows == 0) | (rows == 1))
-        cycles = [tuple(np.flatnonzero(row).tolist()) for row in rows]
-        assert len(set(cycles)) == len(cycles)
-        assert set(cycles) == reference_cycles(support, longest)
+        want = [S for m in range(2, n + 1) for S in itertools.combinations(range(n), m)
+                if any(all(support[x, y] for x, y in zip(S, p))
+                       for p in itertools.permutations(S))]
+        assert _covers(support) == want
+
+
+def test_recurrence_matches_mpmath_at_degree_30():
+    # the same recurrence in 40 digits, on its own dict of monomials: the
+    # float recurrence loses about 2e-16 per degree to rounding
+    mpmath.mp.dps = 40
+    B = rates_on(complete(4), seed=71)
+    covers = [S for m in range(2, 5) for S in itertools.combinations(range(4), m)]
+    minor = {S: (-1) ** len(S) * mpmath.det(mpmath.matrix(B[np.ix_(S, S)].tolist()))
+             for S in covers}
+    layers = [{(0, 0, 0, 0): mpmath.mpf(1)}]  # d! a_d by degree
+    for k in range(1, 31):
+        layers.append({})
+        for S in (S for S in covers if len(S) <= k):
+            for d, c in layers[k - len(S)].items():
+                e = tuple(v + (x in S) for x, v in enumerate(d))
+                layers[k][e] = layers[k].get(e, 0) - minor[S] * c
+    coef = {d: c for layer in layers for d, c in layer.items()}
+    got = table_coefficients(B, 30)
+    assert got.keys() == coef.keys()
+    for d, c in coef.items():
+        want = c / prod(mpmath.factorial(v) for v in d)
+        assert abs(got[d] - want) <= 1e-13 * abs(want), d
+
+
+def test_acyclic_support_has_only_the_zero_flow():
+    B = np.triu(np.random.default_rng(59).uniform(0.1, 0.8, (4, 4)), 1)
+    assert shared_table(B != 0, 30).size(30) == 1
+    # theta is 1; the bound, from the majorant e^s, does not see the support
+    value, err = theta_integral_series(B, np.array([0.3, 1.0, 2.0, 0.7]))
+    assert value == 1.0 and 0.0 < err <= 1e-12
 
 
 def test_flow_table_extends_in_place():
-    tab = _FlowTable(complete(4))
+    tab = _MonomialTable(complete(4))
     tab.extend(12)
-    assert_table_matches_reference(tab, complete(4), 12)
+    before = tab.powers.copy()
     tab.extend(18)
-    assert tab.max_degree == 18
-    assert_table_matches_reference(tab, complete(4), 18)
+    assert tab.max_degree == 18 and np.array_equal(tab.powers[: len(before)], before)
     # one table per support pattern, shared by every series on it
     assert shared_table(complete(4), 5) is shared_table(complete(4), 9)
     assert shared_table(complete(4), 5) is not shared_table(np.triu(complete(4)), 5)
+    # a series whose weights reach degree 12 extends them to 18 in place
+    series = _FlowSeries(rates_on(complete(4)), [((), 1.0)], 1e-10)
+    series._weights(12)
+    series._weights(18)
+    assert series._weights(18).shape[0] == shared_table(complete(4), 18).size(18)
+    assert_coefficients_match(rates_on(complete(4)), 18)
 
 
-def test_blocked_weights_match_unblocked():
-    # a 30-site path with unequal rates: 56 edges, so its degree-8 table
-    # spans several blocks of flows
-    rng = np.random.default_rng(5)
-    B = np.diag(rng.uniform(0.2, 2.0, 29), 1) + np.diag(rng.uniform(0.2, 2.0, 29), -1)
-    A = B - np.diag(B.sum(axis=1))
-    terms = [((), 1.0), ((0, 3), -0.5)]
-    series = _FlowSeries(A, terms, 1e-9)
-    series.table.extend(8)
-    series._weights(4)  # a second pass starts inside the table
-    W = series._weights(8)
-    tab = series.table
-    n_flows = tab.sizes(8)[0]
-    assert n_flows > 2 * _block_rows(len(series.rates))
-    coeff = np.prod(series.rates ** tab.counts[:n_flows], axis=1) * tab.inv_factorial[:n_flows]
-    agg = np.zeros(tab.sizes(8)[1])
-    np.add.at(agg, tab.monomial[:n_flows], coeff)
-    for j, (Q, _) in enumerate(terms):
-        assert np.array_equal(W[:, j], agg * np.prod(2.0 * tab.powers[: len(agg), Q], axis=1))
+def test_two_word_keys_on_a_long_cycle():
+    # on the one-way 13-cycle the only cover is the whole cycle, so the
+    # monomials are k (1, ..., 1) and theta is sum_k (prod_e B_e l)^k / k!^13;
+    # past degree 63 a key needs 6 bits on each of 13 sites, two words
+    support = np.roll(np.eye(13, dtype=bool), 1, axis=1)
+    tab = _MonomialTable(support)
+    tab.extend(70)
+    assert tab.size(70) == 6
+    assert np.array_equal(tab.powers, np.arange(6)[:, None] * np.ones((1, 13)))
+    B = 1.6 * support
+    value, err = theta_integral_series(B, np.ones(13))
+    want = sum(1.6 ** (13 * k) / factorial(k) ** 13 for k in range(6))
+    assert abs(value - want) <= 1e-15 * want
 
 
 def test_enumerate_flows_size2():
-    assert shared_table(complete(2), 0).sizes(0)[0] == 1
-    assert shared_table(complete(2), 4).sizes(4)[0] == 3  # n12 = n21 = k for k in 0..2
+    assert shared_table(complete(2), 0).size(0) == 1
+    assert shared_table(complete(2), 4).size(4) == 3  # d = (k, k) for k in 0..2
 
 
 def test_enumerate_flows_size3_degree2():
-    assert shared_table(complete(3), 2).sizes(2)[0] == 4  # zero flow plus the three 2-cycles
+    assert shared_table(complete(3), 2).size(2) == 4  # zero plus the three pairs
 
 
 def test_enumerate_flows_capacity_guard(monkeypatch):
-    monkeypatch.setattr("loctimes.density.FLOW_LIMIT", 100)
+    monkeypatch.setattr("loctimes.density.TABLE_LIMIT", 100)
     with pytest.raises(CapacityError):
         shared_table(complete(4), 40)
     # the layer that passed the limit is dropped; those below it stay whole
-    tab = _FlowTable(complete(4))
-    with pytest.raises(CapacityError, match="more than 100 balanced flows"):
+    tab = _MonomialTable(complete(4))
+    with pytest.raises(CapacityError, match="more than 100 monomials and triples"):
         tab.extend(40)
-    assert len(tab.counts) <= 100 < len(flow_counts(4, tab.max_degree + 1))
-    assert_table_matches_reference(tab, complete(4), tab.max_degree)
+    assert tab.kept <= 100
+    assert_monomials_match(tab, complete(4))
     monkeypatch.undo()
     tab.extend(tab.max_degree + 1)
-    assert_table_matches_reference(tab, complete(4), tab.max_degree)
-    # the simple cycles of at most 12 of 12 sites already pass the limit
+    assert tab.kept > 100
+    assert_monomials_match(tab, complete(4))
+    # the scan of 2^6 - 7 = 57 site subsets is refused before it starts
+    monkeypatch.setattr("loctimes.density.TABLE_LIMIT", 56)
+    monkeypatch.setattr("loctimes.density.linear_sum_assignment", None)
+    with pytest.raises(CapacityError, match="more than 56 site subsets"):
+        _covers(complete(6))
+    monkeypatch.undo()
+    # 4,083 covers on 12 sites: refused at degree 9, after 0.5 s of set-up
+    start = time.perf_counter()
     with pytest.raises(CapacityError):
-        _FlowTable(complete(12)).extend(12)
-
-
-def test_flow_balance_invariant():
-    tab = shared_table(complete(3), 4)
-    counts = np.zeros((tab.sizes(4)[0], 9), dtype=np.int64)
-    counts[:, complete(3).ravel()] = tab.counts[: len(counts)]
-    counts = counts.reshape(-1, 3, 3)
-    assert np.all(counts.sum(axis=1) == counts.sum(axis=2))
+        _MonomialTable(complete(12)).extend(12)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_theta_series_zero_matrix():
@@ -508,7 +531,7 @@ def test_batch_blocks_match_rows_one_at_a_time():
     L = np.concatenate([G[::7], G[G.min(axis=1) < 1e-5]])
     vals, bounds = ev.values(L)
     K = ev._sum(L)[2]
-    rows = PASS_BLOCK // ev.table.sizes(K)[1]
+    rows = PASS_BLOCK // ev.table.size(K)
     assert len(L) > 3 * rows and len(L) % rows
     one_pass = ev._sum(L, degree=K)[:2]
     for i, row in enumerate(L):
@@ -612,14 +635,13 @@ def test_series_monomial_sum_matches_flow_sum(n, start, end):
 
 
 def test_monomial_counts_and_meta():
+    # the balanced flows of these degrees number 17,782 and 41,293
     tab = shared_table(complete(4), 16)
-    assert tab.sizes(14) == (17782, 1380)
-    assert tab.sizes(16) == (41293, 2205)
+    assert (tab.size(14), tab.size(16)) == (1380, 2205)
     gen = random_generator(4, np.random.default_rng(37))
     res = density_series(gen, RangeSpec((0, 1, 2, 3), 0, 2), [0.3, 0.2, 0.4, 0.1])
-    K = res.meta["degree"]
-    assert (res.meta["flows"], res.meta["monomials"]) == tab.sizes(K)
-    assert res.meta["monomials"] < res.meta["flows"]
+    assert set(res.meta) == {"tol", "range_size", "degree", "monomials"}
+    assert res.meta["monomials"] == tab.size(res.meta["degree"])
 
 
 @pytest.mark.parametrize("spec, l, max_degree", [
@@ -820,28 +842,29 @@ def test_quadrature_rejects_nonpositive_tol(tol):
     (box_srw(1, 2), RangeSpec((-2, -1, 0, 1), -2, 1), [2.0] * 4),
 ], ids=["square-0.5", "square-1", "interval-t8"])
 def test_series_reaches_sparse_supports(gen, spec, l):
-    # on the walk's support the series needs 5,404, 30,349 and 2,300 flows
-    # here; the flows off it, with coefficient 0, pass FLOW_LIMIT
+    # on the walk's support, with 5, 5 and 4 covers, the series needs 819,
+    # 2,470 and 2,300 monomials here (3,925, 12,691 and 10,143 with the
+    # recurrence's triples), at degrees 25, 36 and 44
     res = density_series(gen, spec, l)
     ref = density_quadrature(gen, spec, l)
     assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
 
 
 def test_router_takes_quadrature_at_t8_without_a_flow_table():
-    # the series here needs 2,300 flows on the walk's support, but the
-    # quadrature, which needs no table, accepts a grid of 20,184 nodes
-    tables = {key: tab.max_degree for key, tab in _FLOW_TABLES.items()}
+    # the series here needs a table of 2,300 monomials through degree 44,
+    # but the quadrature, which needs none, accepts a grid of 20,184 nodes
+    tables = {key: tab.max_degree for key, tab in _TABLES.items()}
     spec = RangeSpec((-2, -1, 0, 1), -2, 1)
     res = local_time_density(box_srw(1, 2), spec, [2.0] * 4)
     assert res.method == "quadrature"
-    assert {key: tab.max_degree for key, tab in _FLOW_TABLES.items()} == tables
+    assert {key: tab.max_degree for key, tab in _TABLES.items()} == tables
 
 
 def test_router_takes_series_past_the_node_limit(monkeypatch):
     # 11 nodes on each of 7 angles and 15 on the confirming grid: 1.9e8
     # nodes, past QUADRATURE_NODE_LIMIT; the route is chosen before any
-    # evaluation, so the series is recorded rather than run (here it
-    # needs degree 9, past FLOW_LIMIT)
+    # evaluation, so the series is recorded rather than run (it reaches
+    # the point: test_router_reaches_the_8_site_point_by_the_series)
     calls = []
     monkeypatch.setattr("loctimes.density.density_series", lambda *args, **kw: calls.append(args))
     gen = random_generator(8, np.random.default_rng(41))
@@ -849,9 +872,83 @@ def test_router_takes_series_past_the_node_limit(monkeypatch):
     assert len(calls) == 1
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter with ``resource`` and ``time``
+    imported; it sets a dict ``out``, returned with the peak resident
+    memory in MB as ``peak_mb``, at the end of the code unless it set
+    that itself."""
+    tail = "out.setdefault('peak_mb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+    script = "\n".join(["import json, resource, time", textwrap.dedent(code), tail,
+                        "print(json.dumps(out))"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loctimes.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_router_reaches_the_8_site_point_by_the_series():
+    # the series needs degree 10 here, 35,838 monomials (807 k with the
+    # triples); summed over balanced flows it passed its limit of 2 M flows
+    # at degree 9, after 5.5 s and at 929 MB
+    rates = random_generator(8, np.random.default_rng(41)).rates.tolist()
+    out = run_fresh(f"""
+        import numpy as np
+        from loctimes import RangeSpec, SeriesEvaluator, local_time_density, validate_generator
+        gen, spec = validate_generator({rates}), RangeSpec(tuple(range(8)), 0, 1)
+        start = time.perf_counter()
+        res = local_time_density(gen, spec, [1e-4] * 8)
+        out = dict(seconds=time.perf_counter() - start, value=res.value, err=res.error_estimate,
+                   method=res.method, degree=res.meta["degree"])
+        out["peak_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        ev = SeriesEvaluator(gen, spec, tol=1e-9)
+        out["ref"] = ev._sum(np.full((1, 8), 1e-4), degree=out["degree"] + 2)[0][0]
+    """)
+    assert out["method"] == "series" and out["degree"] == 10
+    assert out["seconds"] < 3 and out["peak_mb"] < 400
+    assert abs(out["value"] - out["ref"]) <= out["err"] <= 1e-9 * abs(out["value"])
+
+
+# in box_srw(2, 1); its quadrature value, at QUADRATURE_NODE_LIMIT raised to
+# 2^28 (29 nodes per angle, 14,781,416 nodes, 48 s on 2 vCPUs), from
+#   import loctimes.density as d; from loctimes import box_srw
+#   d.QUADRATURE_NODE_LIMIT = 2 ** 28
+#   print(repr(d.density_quadrature(box_srw(2, 1), GRID_2X3, [1.0] * 6).value))
+GRID_2X3 = RangeSpec(((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1)), (-1, -1), (0, 1))
+QUADRATURE_2X3 = 3.0871407001480296e-4
+
+
+def test_series_reaches_the_2x3_grid(monkeypatch):
+    # degree 52: 573,678 monomials, 7.8 M with the triples; summed over
+    # balanced flows it passed its limit of 2 M flows at degree 34.  The
+    # table is built into an empty cache, so it is not kept
+    monkeypatch.setattr("loctimes.density._TABLES", {})
+    res = density_series(box_srw(2, 1), GRID_2X3, [1.0] * 6)
+    assert abs(res.value - QUADRATURE_2X3) <= res.error_estimate <= 1e-10 * res.value
+
+
+def test_series_on_the_3x3_box_stays_within_memory():
+    # at l = 0.1 corner to corner the series needs degree 25, 788,086
+    # monomials and 21 M with the triples, past TABLE_LIMIT: the table is
+    # refused at degree 22
+    out = run_fresh("""
+        from loctimes import RangeSpec, box_srw, density_series
+        from loctimes.density import CapacityError
+        gen = box_srw(2, 1)
+        try:
+            res = density_series(gen, RangeSpec(gen.states, (-1, -1), (1, 1)), [0.1] * 9)
+            out = dict(value=res.value)
+        except CapacityError as err:
+            out = dict(refused=str(err))
+    """)
+    assert out["peak_mb"] < 1024
+
+
 def test_gauge_check_truncates_at_the_density_degree():
     # the conjugation raises the integrand's |B| strength from 1.32 to
-    # 5.17; sized by it, the twisted series needs a table past FLOW_LIMIT
+    # 5.17; sized by it, the twisted series would stop at degree 35, not
+    # at the density's 19, and its rounding would be measured against
+    # more truncation than the base series has
     B = np.random.default_rng(0).uniform(0.05, 1.0, (5, 5))
     np.fill_diagonal(B, 0.0)
     np.fill_diagonal(B, -B.sum(axis=1))
