@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "Generator",
     "GeneratorError",
     "RangeSpec",
+    "as_times",
     "validate_generator",
     "jump_rate_bound",
     "box_srw",
@@ -135,6 +136,21 @@ class RangeSpec:
         return len(self.range)
 
 
+def as_times(spec: RangeSpec, l) -> np.ndarray:
+    """Coerce a dict keyed by site, or a sequence in range order, to a
+    positive, finite array ordered by the range."""
+    if isinstance(l, Mapping):
+        if set(l) != set(spec.range):
+            raise ValueError("local-time support does not match the range")
+        l = [l[s] for s in spec.range]
+    arr = np.asarray(l, dtype=float)
+    if arr.shape != (spec.size,):
+        raise ValueError(f"expected {spec.size} local times, got shape {arr.shape}")
+    if not np.all((arr > 0) & (arr < np.inf)):
+        raise ValueError("all local times must be positive and finite")
+    return arr
+
+
 def validate_generator(rates, states: Sequence[Hashable] | None = None) -> Generator:
     """Validate a rate matrix and wrap it as a :class:`Generator`.
 
@@ -217,7 +233,7 @@ def box_srw(dim: int, radius: int, rate: float = 1.0) -> Generator:
     return validate_generator(A, states=labels)
 
 
-def load_generator(path, states: Sequence[Hashable] | None = None) -> Generator:
-    """Load a generator from a plain text file of whitespace-separated rows."""
-    rates = np.loadtxt(path, dtype=float, ndmin=2)
-    return validate_generator(rates, states=states)
+def load_generator(path) -> Generator:
+    """Load a generator from a plain text file of whitespace-separated rows,
+    with states 0 .. n-1."""
+    return validate_generator(np.loadtxt(path, dtype=float, ndmin=2))

@@ -7,17 +7,14 @@ reads, or a ``--set`` key that this command does not read, is an error.
 Results are comma-separated tables with a header row, written to stdout
 or ``--out``.  All randomness is controlled by explicit seeds, and
 rerunning a command with the same config, seed and worker count
-reproduces the output byte for byte (modulo the timestamp line, which
-``--no-timestamp`` suppresses).
+reproduces the output byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
-import time
 
 import numpy as np
 
@@ -119,11 +116,8 @@ class Table:
     def add(self, **kwargs):
         self.rows.append([kwargs.get(c, "") for c in self.columns])
 
-    def render(self, timestamp: bool) -> str:
-        lines = []
-        if timestamp:
-            lines.append(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-        lines.append(",".join(self.columns))
+    def render(self) -> str:
+        lines = [",".join(self.columns)]
         for row in self.rows:
             lines.append(",".join(_fmt(v) for v in row))
         return "\n".join(lines) + "\n"
@@ -204,7 +198,7 @@ def cmd_mc_validate(cfg, args):
     gen = build_generator(cfg)
     spec = build_spec(cfg)
     T = float(cfg.get("T", 1.0))
-    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 10 ** 6))
+    n_paths = int(cfg.get("paths", 10 ** 6))
     fname = cfg.get("functional", "one")
     F = _functional(fname, spec)
     est = mc_event_functional(gen, spec, T, F, n_paths, args.seed, workers=args.workers)
@@ -316,9 +310,8 @@ def cmd_rescaled(cfg, args):
 
 
 def cmd_rayknight_test(cfg, args):
-    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 100_000))
     report = rk_statistical_test(b=int(cfg.get("b", 3)), h=float(cfg.get("h", 1.0)),
-                                 n_paths=n_paths, seed=args.seed)
+                                 n_paths=int(cfg.get("paths", 100_000)), seed=args.seed)
     table = Table(["test", "statistic", "threshold", "p_value", "passed", "seed"])
     for row in report.rows():
         table.add(seed=args.seed, **row)
@@ -370,13 +363,10 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("LOCTIMES_WORKERS", "1")))
+        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--assert", dest="assert_checks", action="store_true",
                        help="exit nonzero if the command's consistency check fails")
-        p.add_argument("--no-timestamp", action="store_true")
     return parser
 
 
@@ -391,7 +381,7 @@ def main(argv=None) -> int:
             ConvergenceError, CapacityError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = table.render(timestamp=not args.no_timestamp)
+    text = table.render()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

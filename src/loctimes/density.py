@@ -26,13 +26,12 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import prod
-from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import factorial, gammainc, gammaln, ive
 
-from .chain import Generator, RangeSpec
+from .chain import Generator, RangeSpec, as_times
 
 __all__ = [
     "DensityResult",
@@ -48,6 +47,7 @@ __all__ = [
 TABLE_LIMIT = 10_000_000
 MAX_DEGREE = 80
 QUADRATURE_NODE_LIMIT = 2 ** 24
+FD_TOL = 1e-10  # relative tolerance of the finite differences' series
 
 
 class ConvergenceError(RuntimeError):
@@ -56,25 +56,6 @@ class ConvergenceError(RuntimeError):
 
 class CapacityError(RuntimeError):
     """An enumeration exceeded its configured size limit."""
-
-
-# ---------------------------------------------------------------------------
-# local-time vectors
-
-
-def as_times(spec: RangeSpec, l) -> np.ndarray:
-    """Coerce a dict keyed by site, or a sequence in range order, to a
-    positive, finite array ordered by the range."""
-    if isinstance(l, Mapping):
-        if set(l) != set(spec.range):
-            raise ValueError("local-time support does not match the range")
-        l = [l[s] for s in spec.range]
-    arr = np.asarray(l, dtype=float)
-    if arr.shape != (spec.size,):
-        raise ValueError(f"expected {spec.size} local times, got shape {arr.shape}")
-    if not np.all((arr > 0) & (arr < np.inf)):
-        raise ValueError("all local times must be positive and finite")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -581,28 +562,18 @@ def density_quadrature(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) ->
     )
 
 
-def density_finite_difference(
-    gen: Generator,
-    spec: RangeSpec,
-    l,
-    step: float | None = None,
-    tol: float = 1e-10,
-) -> DensityResult:
+def density_finite_difference(gen: Generator, spec: RangeSpec, l) -> DensityResult:
     """Apply the cofactor-determinant operator (full rates, including the
-    diagonal) to the angular integral's series by mixed central
-    differences, with Richardson extrapolation over step halving.
+    diagonal) to the angular integral's series, summed to ``FD_TOL``, by
+    mixed central differences, with Richardson extrapolation over step
+    halving.
 
-    The default step grows with the differentiation order: high-order
-    mixed stencils divide by step^order, so too small a step drowns the
-    value in rounding noise."""
+    The step grows with the differentiation order, up to a quarter of the
+    smallest local time: high-order mixed stencils divide by step^order,
+    so too small a step drowns the value in rounding noise."""
     lv = as_times(spec, l)
-    if step is None:
-        order = spec.size - 2 + (spec.start == spec.end)
-        step = min(lv.min() / 4.0, 0.01 * (order + 1))
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if step > lv.min() / 4:
-        raise ValueError(f"step {step} too large relative to min local time {lv.min()}")
+    order = spec.size - 2 + (spec.start == spec.end)
+    step = min(lv.min() / 4.0, 0.01 * (order + 1))
     A = gen.submatrix(spec.range)
     terms = _derivative_expansion(A, spec.range.index(spec.start), spec.range.index(spec.end))
     # both steps' stencils as one batch, each row weighted into its step's sum
@@ -614,10 +585,10 @@ def density_finite_difference(
                 row[list(Q)] += np.multiply(signs, h / 2)
                 rows.append(row)
                 weights.append(det * np.prod(signs) / h ** len(Q))
-    theta, _ = _FlowSeries(A, [((), 1.0)], tol).values(np.array(rows))
+    theta, _ = _FlowSeries(A, [((), 1.0)], FD_TOL).values(np.array(rows))
     coarse, fine = (np.array(weights) * theta).reshape(2, -1).sum(axis=1)
     value = (4.0 * fine - coarse) / 3.0
-    err = abs(fine - coarse) / 3.0 + tol * max(abs(value), 1.0)
+    err = abs(fine - coarse) / 3.0 + FD_TOL * max(abs(value), 1.0)
     return DensityResult(
         value=value,
         method="finite-difference",

@@ -19,7 +19,7 @@ from scipy.sparse import identity as sparse_identity
 from scipy.sparse import kron as sparse_kron
 from scipy.sparse import diags_array
 
-from .chain import Generator, RangeSpec, jump_rate_bound
+from .chain import Generator, RangeSpec, as_times, jump_rate_bound
 
 __all__ = [
     "TiltFunction",
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 SYMMETRY_ATOL = 1e-12
+# L-BFGS-B gradient tolerance of the rate-function, deviation-bound and chi solves
+GTOL = 1e-10
+RATE_RESTARTS = 4  # starts of the rate-function solve
 
 
 @dataclass(frozen=True)
@@ -93,20 +96,14 @@ def rate_function_symmetric(gen: Generator, mu, sites=None) -> float:
     return float(root @ (-A) @ root)
 
 
-def rate_function_general(
-    gen: Generator,
-    mu,
-    sites=None,
-    tol: float = 1e-10,
-    n_restarts: int = 4,
-    seed: int = 0,
-) -> RateFunctionResult:
+def rate_function_general(gen: Generator, mu, sites=None, seed: int = 0) -> RateFunctionResult:
     """Rate function by minimizing sum_x mu_x (A e^u)_x e^{-u_x} over log
     tilts u with the anchor entry pinned at 0.
 
     Sites with zero weight are dropped: their tilt entries enter the
     objective linearly with nonnegative coefficients, so the infimum sends
-    them to zero and the problem restricts exactly to the support.
+    them to zero and the problem restricts exactly to the support.  The
+    solve runs from ``RATE_RESTARTS`` starts, the first at u = 0.
     """
     sites, w = _measure_on(gen, mu, sites)
     support = [s for s, wx in zip(sites, w) if wx > 0]
@@ -127,17 +124,17 @@ def rate_function_general(
 
     rng = np.random.default_rng(seed)
     results = []
-    for k in range(n_restarts):
+    for k in range(RATE_RESTARTS):
         u0 = np.zeros(n - 1) if k == 0 else rng.normal(scale=0.5, size=n - 1)
         results.append(minimize(objective, u0, jac=True, method="L-BFGS-B",
-                                options={"maxiter": 10_000, "ftol": 1e-15, "gtol": tol}))
+                                options={"maxiter": 10_000, "ftol": 1e-15, "gtol": GTOL}))
     best = min(results, key=lambda res: res.fun)
     spread = float(max(res.fun for res in results) - best.fun)
     g = np.exp(np.concatenate([[0.0], best.x]))
     return RateFunctionResult(
         value=float(-best.fun),
         tilt=TiltFunction(tuple(support), g),
-        restarts_agree=spread <= max(tol * 100, 1e-8),
+        restarts_agree=spread <= 1e-8,
         spread=spread,
     )
 
@@ -150,9 +147,7 @@ def density_bound(gen: Generator, spec: RangeSpec, l) -> float:
     rate-function minimizer.
     """
     sites = spec.range
-    l = np.asarray([l[s] for s in sites] if isinstance(l, dict) else l, dtype=float)
-    if np.any(l <= 0):
-        raise ValueError("local times must be strictly positive on the range")
+    l = as_times(spec, l)
     T = float(l.sum())
     eta = jump_rate_bound(gen, sites)
     A = gen.submatrix(sites)
@@ -225,7 +220,7 @@ def _root_objective(L, F: Callable[[np.ndarray], float] | None = None):
     return objective
 
 
-def _minimize_roots(objective, starts, constraint: SimplexBall | None = None, gtol: float = 1e-10,
+def _minimize_roots(objective, starts, constraint: SimplexBall | None = None,
                     roots: Callable[[np.ndarray], np.ndarray] | None = None):
     """Minimize the objective from each start; returns the best value, its
     measure v^2 / v.v, the spread of the optima and whether the restarts
@@ -238,7 +233,7 @@ def _minimize_roots(objective, starts, constraint: SimplexBall | None = None, gt
     if constraint is None:
         def solve(v0):
             return minimize(objective, v0, jac=True, method="L-BFGS-B",
-                            options={"maxiter": 20_000, "ftol": 1e-16, "gtol": gtol})
+                            options={"maxiter": 20_000, "ftol": 1e-16, "gtol": GTOL})
     else:
         c, r2 = constraint.center, constraint.radius ** 2
         conditions = [
@@ -415,6 +410,13 @@ def make_box_functional(name: str, dim: int, radius: float, n_per_axis: int):
     raise ValueError(f"unknown functional {name!r}; catalog: {FUNCTIONAL_NAMES}")
 
 
+def _check_box(dim, radius):
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+
+
 @dataclass
 class ChiResult:
     value: float
@@ -430,7 +432,6 @@ def chi_discrete(
     radius: float,
     n_per_axis: int,
     functional: str | Callable[[np.ndarray], float] = "zero",
-    tol: float = 1e-10,
     n_restarts: int = 8,
     seed: int = 0,
 ) -> ChiResult:
@@ -445,9 +446,10 @@ def chi_discrete(
     A callable ``functional`` must carry a ``gradient`` attribute, the
     gradient of F in mu, as the named functionals do.
 
-    L-BFGS-B runs over x, where the energy is x.x (see ``_box_objective``);
-    ``tol`` is its gradient tolerance in x.
+    L-BFGS-B runs over x, where the energy is x.x (see ``_box_objective``),
+    to gradient tolerance ``GTOL`` in x.
     """
+    _check_box(dim, radius)
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
     spacing = 2.0 * radius / (n_per_axis + 1)
@@ -461,7 +463,7 @@ def chi_discrete(
     for k in range(n_restarts):
         w0 = np.zeros(n) if k == 0 else rng.normal(scale=1.0, size=n)
         starts.append(from_roots(np.exp(0.5 * (w0 - w0.max()))))  # sqrt of the softmax start
-    value, mu, spread, agree = _minimize_roots(objective, starts, gtol=tol, roots=roots)
+    value, mu, spread, agree = _minimize_roots(objective, starts, roots=roots)
     return ChiResult(
         value=value,
         minimizer=mu,
@@ -495,6 +497,7 @@ def rescaled_bound_experiment(
     dimension they shrink only 1.2x from T=1e2 to T=1e8, and at 1/3 they
     grow.
     """
+    _check_box(dim, radius)
     rows = []
     for T in T_values:
         alpha = float(T) ** alpha_exponent

@@ -36,6 +36,8 @@ MAX_RANGE = 20  # inclusion-exclusion sums 2^(n-2) killed probabilities
 RADIAL_PANELS = 10
 RADIAL_NODES = 24
 N_ANGLES = 256
+GAUSSIAN_SAMPLES = 200_000  # Monte Carlo draws of the Gaussian identity at size 3 and up
+RESOLVENT_TOL = 1e-10  # relative stopping tolerance of the resolvent's time quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +109,14 @@ def range_exact_prob(gen: Generator, spec: RangeSpec, T: float) -> float:
 # resolvent identity
 
 
-def resolvent_check(
-    gen: Generator,
-    S: Sequence[Hashable],
-    a: Hashable,
-    b: Hashable,
-    v,
-    tol: float = 1e-10,
-) -> float:
+def resolvent_check(gen: Generator, S: Sequence[Hashable], a: Hashable, b: Hashable, v) -> float:
     """Deviation between the time integral of the tilted killed semigroup and
     the corresponding linear-solve entry.
 
     The tilt ``v`` must have strictly negative real parts so the integral
     converges; integration uses composite Gauss panels out to where the
-    semigroup has decayed below 1e-16, doubling the panel count until stable.
+    semigroup has decayed below 1e-16, doubling the panel count until two
+    counts agree to ``RESOLVENT_TOL``.
     """
     S = tuple(S)
     v = np.asarray(v, dtype=complex)
@@ -151,7 +147,7 @@ def resolvent_check(
         for lo, hi in zip(edges[:-1], edges[1:]):
             ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             total += 0.5 * (hi - lo) * np.sum(weights * entry(ts))
-        if prev is not None and abs(total - prev) < tol * max(abs(total), 1.0):
+        if prev is not None and abs(total - prev) < RESOLVENT_TOL * max(abs(total), 1.0):
             break
         if panels > 512:
             raise RuntimeError("time quadrature for the resolvent did not converge")
@@ -164,14 +160,15 @@ def resolvent_check(
 # complex Gaussian determinant identity
 
 
-def gaussian_identity_check(M, n_samples: int = 200_000, seed: int = 0) -> float:
+def gaussian_identity_check(M, seed: int = 0) -> float:
     """Relative deviation of the Gaussian integral of exp(-<phi, M conj(phi)>)
     from 1/det(M).
 
     Sizes 1 and 2 use quadrature in polar coordinates (radii substituted by
     their square roots, which makes the integrand entire; angles by the
     periodic trapezoidal rule).  Size 3 and up uses importance-sampled Monte
-    Carlo with the Hermitian part as the proposal.
+    Carlo, ``GAUSSIAN_SAMPLES`` draws with the Hermitian part as the
+    proposal.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
@@ -185,7 +182,7 @@ def gaussian_identity_check(M, n_samples: int = 200_000, seed: int = 0) -> float
     if n <= 2:
         value = _gaussian_quadrature(M, float(eigs.min()))
     else:
-        value = _gaussian_mc(M, H, n_samples, seed)
+        value = _gaussian_mc(M, H, seed)
     return float(abs(value - target) / abs(target))
 
 
@@ -218,12 +215,12 @@ def _real_form(H):
     return np.block([[H.real, H.imag], [-H.imag, H.real]])
 
 
-def _gaussian_mc(M, H, n_samples, seed):
+def _gaussian_mc(M, H, seed):
     n = M.shape[0]
     G = _real_form(H)
     L = np.linalg.cholesky(G)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    xi = rng.standard_normal((n_samples, 2 * n))
+    xi = rng.standard_normal((GAUSSIAN_SAMPLES, 2 * n))
     # z ~ density proportional to exp(-z G z)
     z = xi @ np.linalg.inv(L) / np.sqrt(2.0)
     phi = z[:, :n] + 1j * z[:, n:]

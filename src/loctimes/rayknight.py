@@ -29,6 +29,9 @@ __all__ = [
     "rk_statistical_test",
 ]
 
+# jumps after which a walk is censored; read at call time
+MAX_EVENTS = 2_000_000
+
 
 def f_kernel(h1, h2):
     """Inward transition density f(h1, h2) = e^{-h1-h2} I_0(2 sqrt(h1 h2)).
@@ -82,7 +85,7 @@ class ProfileBatch:
     """Local-time profiles at the inverse local time, one row per path.
 
     ``positions`` maps lattice sites -depth..b+depth to record columns;
-    censored paths (event cap hit) are excluded from ``records``.
+    censored paths (``MAX_EVENTS`` jumps) are excluded from ``records``.
     """
 
     b: int
@@ -97,14 +100,7 @@ class ProfileBatch:
         return self.records[:, position + self.depth]
 
 
-def simulate_profiles(
-    b: int,
-    h: float,
-    n_paths: int,
-    seed: int,
-    depth: int = 12,
-    max_events: int = 2_000_000,
-) -> ProfileBatch:
+def simulate_profiles(b: int, h: float, n_paths: int, seed: int, depth: int = 12) -> ProfileBatch:
     """Run walks from 0 until the local time at b reaches h and collect the
     uncensored local-time profiles on -depth .. b+depth.
 
@@ -113,7 +109,7 @@ def simulate_profiles(
     b, and it re-enters through the site it left, so the window's boundary
     sites jump inward only, at rate 1: by memorylessness the recorded
     profile has exactly the law of the unrestricted walk's.  Paths that
-    make ``max_events`` jumps are censored.
+    make ``MAX_EVENTS`` jumps are censored.
     """
     if b < 1 or h <= 0:
         raise ValueError("need b >= 1 and h > 0")
@@ -123,7 +119,7 @@ def simulate_profiles(
     walk = validate_generator(A, states=range(-depth, b + depth + 1))
     parts = run_lockstep(walk, 0, n_paths, seed, h,
                          lambda local, _, censored: (local[~censored], int(censored.sum())),
-                         site=b, max_jumps=max_events)
+                         site=b, max_jumps=MAX_EVENTS)
     records = np.concatenate([p[0] for p in parts])
     records[:, b + depth] = h
     return ProfileBatch(
@@ -193,7 +189,6 @@ def rk_statistical_test(
     seed: int = 0,
     family_level: float = 0.01,
     depth: int = 12,
-    max_events: int = 2_000_000,
 ) -> RkReport:
     """Simulate walk profiles and test each transition against its exact
     conditional law.
@@ -209,7 +204,7 @@ def rk_statistical_test(
     cross-correlations.  P-value thresholds are Bonferroni-split across
     the KS and atom tests; correlations use the fixed 4/sqrt(n) bar.
     """
-    batch = simulate_profiles(b, h, n_paths, seed, depth=depth, max_events=max_events)
+    batch = simulate_profiles(b, h, n_paths, seed, depth=depth)
     tests = []  # (name, statistic, p-value) of the KS and atom tests
 
     for x in range(b):

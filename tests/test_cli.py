@@ -1,7 +1,18 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from loctimes.cli import ConfigError, build_generator, build_spec, main, parse_config
+from loctimes.cli import (
+    ConfigError,
+    build_generator,
+    build_spec,
+    check_keys,
+    main,
+    make_parser,
+    parse_config,
+)
 
 TWO_STATE_CFG = [
     "generator=inline:[[-1, 1], [1, -1]]",
@@ -55,7 +66,7 @@ def test_build_spec_requires_keys():
 
 def test_density_eval_runs(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=3"])
-    rc = main(["density-eval", path, "--no-timestamp"])
+    rc = main(["density-eval", path])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.splitlines()[0].startswith("point,")
@@ -68,8 +79,8 @@ def test_byte_reproducibility(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     for out in (out1, out2):
-        rc = main(["mc-validate", path, "--paths", "20000", "--seed", "7",
-                   "--no-timestamp", "--out", str(out)])
+        rc = main(["mc-validate", path, "--set", "paths=20000", "--seed", "7",
+                   "--out", str(out)])
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -78,10 +89,10 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     path = write_cfg(tmp_path, TWO_STATE_CFG)
     out1 = tmp_path / "w1.csv"
     out2 = tmp_path / "w4.csv"
-    main(["mc-validate", path, "--paths", "30000", "--seed", "3",
-          "--workers", "1", "--no-timestamp", "--out", str(out1)])
-    main(["mc-validate", path, "--paths", "30000", "--seed", "3",
-          "--workers", "4", "--no-timestamp", "--out", str(out2)])
+    main(["mc-validate", path, "--set", "paths=30000", "--seed", "3",
+          "--workers", "1", "--out", str(out1)])
+    main(["mc-validate", path, "--set", "paths=30000", "--seed", "3",
+          "--workers", "4", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -96,31 +107,30 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("paths", ["0", "-5"])
 def test_path_counts_below_one_exit_2(tmp_path, capsys, paths):
-    # --paths 0 is a path count, not "use the default"
+    # paths=0 is a path count, not "use the default"
     path = write_cfg(tmp_path, TWO_STATE_CFG)
-    assert main(["mc-validate", path, "--paths", paths, "--no-timestamp"]) == 2
+    assert main(["mc-validate", path, "--set", f"paths={paths}"]) == 2
     assert "error: need at least one path" in capsys.readouterr().err
-    assert main(["rayknight-test", "--paths", paths, "--no-timestamp"]) == 2
+    assert main(["rayknight-test", "--set", f"paths={paths}"]) == 2
     assert "error: need at least one path" in capsys.readouterr().err
 
 
 def test_horizon_not_positive_finite_exits_2(tmp_path, capsys):
     # no path ever reaches a nan horizon
     path = write_cfg(tmp_path, TWO_STATE_CFG)
-    assert main(["mc-validate", path, "--set", "T=nan", "--paths", "10",
-                 "--no-timestamp"]) == 2
+    assert main(["mc-validate", path, "--set", "T=nan", "--set", "paths=10"]) == 2
     assert "error: the limit must be positive and finite" in capsys.readouterr().err
 
 
 def test_assert_flag(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=2"])
-    assert main(["bounds-check", path, "--no-timestamp", "--assert"]) == 0
+    assert main(["bounds-check", path, "--assert"]) == 0
     capsys.readouterr()
 
 
 def test_marginal_check(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["resolution=128"])
-    rc = main(["marginal-check", path, "--no-timestamp", "--assert"])
+    rc = main(["marginal-check", path, "--assert"])
     out = capsys.readouterr().out
     assert rc == 0
     header, row = out.splitlines()[:2]
@@ -130,7 +140,7 @@ def test_marginal_check(tmp_path, capsys):
 
 def test_rate_function_command(capsys):
     rc = main(["rate-function", "--set", "generator=inline:[[-1, 1], [1, -1]]",
-               "--set", "mu=0.3,0.7", "--no-timestamp", "--assert"])
+               "--set", "mu=0.3,0.7", "--assert"])
     out = capsys.readouterr().out
     assert rc == 0
     header, row = out.splitlines()[:2]
@@ -141,7 +151,7 @@ def test_rate_function_command(capsys):
 
 
 def test_chi_command(capsys):
-    rc = main(["chi", "--set", "nodes=40", "--set", "restarts=2", "--no-timestamp"])
+    rc = main(["chi", "--set", "nodes=40", "--set", "restarts=2"])
     out = capsys.readouterr().out
     assert rc == 0
     header, row = out.splitlines()[:2]
@@ -149,14 +159,10 @@ def test_chi_command(capsys):
     assert abs(float(cols["value"]) - np.pi ** 2 / 8) < 0.01
 
 
-def test_timestamp_line_presence(tmp_path, capsys):
+def test_output_starts_with_header(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=1"])
     main(["density-eval", path])
-    with_ts = capsys.readouterr().out
-    assert with_ts.startswith("# generated ")
-    main(["density-eval", path, "--no-timestamp"])
-    without = capsys.readouterr().out
-    assert not without.startswith("#")
+    assert capsys.readouterr().out.startswith("point,l,method,value,error_estimate,seed\n")
 
 
 def test_library_error_exit_code(tmp_path, capsys):
@@ -164,14 +170,14 @@ def test_library_error_exit_code(tmp_path, capsys):
     # ConvergenceError; that is a crash of the command (exit 2), not a
     # failed --assert (exit 1)
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["T=150", "points=1"])
-    rc = main(["density-eval", path, "--seed", "1", "--no-timestamp", "--assert"])
+    rc = main(["density-eval", path, "--seed", "1", "--assert"])
     assert rc == 2
     assert "error: flow series not converged" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):
     # a typo in --set names the key and the command, exit 2
-    rc = main(["chi", "--set", "radus=2", "--no-timestamp"])
+    rc = main(["chi", "--set", "radus=2"])
     err = capsys.readouterr().err
     assert rc == 2
     assert "error: unknown config key 'radus' for command 'chi'" in err
@@ -180,7 +186,39 @@ def test_unknown_config_key(tmp_path, capsys):
     assert main(["density-eval", path, "--set", "restarts=2"]) == 2
     assert "'restarts' for command 'density-eval'" in capsys.readouterr().err
     # a file shared between commands may carry another command's keys, not typos
-    assert main(["marginal-check", path, "--no-timestamp"]) == 0
+    assert main(["marginal-check", path]) == 0
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["pionts=2"], name="typo.cfg")
-    assert main(["density-eval", path, "--no-timestamp"]) == 2
+    assert main(["density-eval", path]) == 2
     assert "unknown config key 'pionts'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--set", "radius=0"],
+    ["chi", "--set", "radius=-1"],
+    ["chi", "--set", "radius=nan"],
+    ["chi", "--set", "dim=0"],
+    ["chi", "--set", "dim=-1"],
+    ["rescaled", "--set", "dim=0"],
+    ["rescaled", "--set", "radius=inf"],
+])
+def test_bad_box_geometry_exits_2(capsys, argv):
+    # a bad input, not a failed --assert: exit 2 with an error line
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--paths", "10"], ["--no-timestamp"]])
+def test_removed_flags_rejected(flag):
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["mc-validate", *flag])
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("loctimes ")]
+    assert len(lines) == 8
+    for argv in lines:
+        args = make_parser().parse_args(argv[1:])
+        check_keys(args.command, parse_config(None, args.set), args.set)

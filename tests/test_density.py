@@ -374,11 +374,6 @@ def test_density_finite_difference_two_state():
     assert abs(res.value - RHO_11) < 1e-6
 
 
-def test_finite_difference_rejects_big_step():
-    with pytest.raises(ValueError):
-        density_finite_difference(TWO_STATE, SPEC_AA, {0: 0.001, 1: 1.999}, step=0.1)
-
-
 def test_cross_evaluator_three_state():
     rng = np.random.default_rng(7)
     gen = random_generator(3, rng)

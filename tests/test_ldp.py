@@ -139,6 +139,19 @@ def test_density_bound_dominates_general():
         assert res.value <= bound + res.error_estimate
 
 
+@pytest.mark.parametrize("l, message", [
+    ([np.nan, 1.0, 1.0], "positive and finite"),
+    ([np.inf, 1.0, 1.0], "positive and finite"),
+    ([1.0, 1.0], "expected 3 local times"),
+    ({0: 1.0, 1: 1.0, 2: 1.0, 5: 1.0}, "support does not match the range"),
+])
+def test_density_bound_rejects_bad_local_times(l, message):
+    # a site outside the range is an error, not dropped
+    spec = RangeSpec((0, 1, 2), 0, 1)
+    with pytest.raises(ValueError, match=message):
+        density_bound(THREE_STATE, spec, l)
+
+
 def test_upper_bound_rhs_arithmetic():
     # two sites, unit rates, T = 1: inner inf 0 at the uniform measure, so
     # the total is 2 log(sqrt(8e)) + log 2 + 1/2 = 4 log 2 + 3/2
@@ -264,6 +277,14 @@ def test_chi_one_dim_dirichlet_eigenvalue():
     assert abs(res.value - np.pi ** 2 / 8.0) < 1e-3 * np.pi ** 2 / 8.0
     assert res.restarts_agree
     assert abs(res.minimizer.sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 0.0), (1, -1.0), (1, np.nan), (1, np.inf),
+                                         (0, 1.0), (-1, 1.0), (1.5, 1.0)])
+def test_chi_rejects_bad_geometry(dim, radius):
+    with pytest.raises(ValueError, match="dim must be|radius must be"):
+        chi_discrete(dim, radius, 10, "zero", n_restarts=1)
+
 
 
 def test_chi_matches_dense_eigenvalue():

@@ -140,7 +140,7 @@ def test_gaussian_identity_mc_three():
     K = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=float)
     S = 0.2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     M = np.eye(3) * 2 + 0.4 * K + S + 0.1j * S
-    assert gaussian_identity_check(M, n_samples=200_000) < 1e-2
+    assert gaussian_identity_check(M) < 1e-2
 
 
 def test_gaussian_real_form_matches_polarization():

@@ -116,6 +116,14 @@ def test_simulate_profiles_exact_level():
         batch.at(99)
 
 
+def test_jump_cap_censors_paths(monkeypatch):
+    # the walk needs 3 jumps to reach b = 3, so a cap of 2 censors every path
+    monkeypatch.setattr(rayknight, "MAX_EVENTS", 2)
+    batch = simulate_profiles(b=3, h=1.0, n_paths=50, seed=1, depth=2)
+    assert batch.n_censored == 50
+    assert batch.records.shape == (0, 3 + 2 * 2 + 1)
+
+
 def test_simulate_profiles_rejects_no_paths():
     with pytest.raises(ValueError, match="at least one path"):
         simulate_profiles(b=2, h=1.0, n_paths=0, seed=1)
