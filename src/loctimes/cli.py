@@ -249,8 +249,8 @@ def cmd_bounds_check(cfg, args):
         all_ok = all_ok and ok
         table.add(point=i, l=";".join(f"{v:.9g}" for v in row), density=res.value,
                   density_error=res.error_estimate, bound=bound, ok=int(ok), seed=args.seed)
-    if cfg.get("upper_bound", "") == "on" or "S" in cfg:
-        S = tuple(_state(s) for s in cfg.get("S", cfg["range"]).split(","))
+    if "S" in cfg:
+        S = tuple(_state(s) for s in cfg["S"].split(","))
         rhs = ldp_upper_bound_rhs(gen, S, max(T, 1.0), seed=args.seed)
         table.add(point="upper-bound-rhs", l="", density="", density_error="",
                   bound=rhs.total, ok="", seed=args.seed)
@@ -328,7 +328,7 @@ COMMANDS = {
     "density-eval": (cmd_density_eval, RANGE_KEYS + ("T", "points", "tol")),
     "mc-validate": (cmd_mc_validate, RANGE_KEYS + ("T", "paths", "functional", "resolution")),
     "marginal-check": (cmd_marginal_check, RANGE_KEYS + ("T", "resolution", "tol")),
-    "bounds-check": (cmd_bounds_check, RANGE_KEYS + ("T", "points", "upper_bound", "S")),
+    "bounds-check": (cmd_bounds_check, RANGE_KEYS + ("T", "points", "S")),
     "rate-function": (cmd_rate_function, GENERATOR_KEYS + ("mu", "sites")),
     "chi": (cmd_chi, ("dim", "radius", "nodes", "functional", "restarts")),
     "rescaled": (cmd_rescaled,

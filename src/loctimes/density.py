@@ -186,7 +186,7 @@ _TABLES: dict[bytes, _MonomialTable] = {}
 # the angular integral as a power series
 
 
-class _FlowSeries:
+class _Series:
     """exp(diag . l) sum_j det_j (prod_{x in Q_j} d/dl_x) theta_B(l) over the
     pairs (Q_j, det_j) of ``terms``, where diag and B are the diagonal and
     off-diagonal parts of the real or complex matrix ``A`` and theta_B is
@@ -338,7 +338,7 @@ class _FlowSeries:
             degrees = range(K + 1, MAX_DEGREE + 1)
             hi = K + 1 + bisect_left(degrees, True, key=lambda k: bool(np.all(tail(k) <= reach)))
             if hi > MAX_DEGREE:
-                raise ConvergenceError(f"flow series not converged at degree {MAX_DEGREE}")
+                raise ConvergenceError(f"series not converged at degree {MAX_DEGREE}")
             total = total + self._pass_sum(logL, scale, K, hi)
             # written so that a nan bound (overflowed tail) does not stop
             if np.all(tail(hi) <= self.tol * np.abs(total)):
@@ -377,7 +377,7 @@ def theta_integral_series(B_tilde, l, tol: float = 1e-12):
         raise ValueError("tol must be positive")
     if l.ndim != 1 or B.shape != (len(l), len(l)):
         raise ValueError("B_tilde must be square and match l")
-    return _FlowSeries(B, [((), 1.0)], tol).value(l)
+    return _Series(B, [((), 1.0)], tol).value(l)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +421,7 @@ def _derivative_expansion(M: np.ndarray, a_pos: int, b_pos: int):
     return terms
 
 
-class SeriesEvaluator(_FlowSeries):
+class SeriesEvaluator(_Series):
     """Series density evaluator, reusable across many local-time
     vectors on the same (generator, range) pair."""
 
@@ -585,7 +585,7 @@ def density_finite_difference(gen: Generator, spec: RangeSpec, l) -> DensityResu
                 row[list(Q)] += np.multiply(signs, h / 2)
                 rows.append(row)
                 weights.append(det * np.prod(signs) / h ** len(Q))
-    theta, _ = _FlowSeries(A, [((), 1.0)], FD_TOL).values(np.array(rows))
+    theta, _ = _Series(A, [((), 1.0)], FD_TOL).values(np.array(rows))
     coarse, fine = (np.array(weights) * theta).reshape(2, -1).sum(axis=1)
     value = (4.0 * fine - coarse) / 3.0
     err = abs(fine - coarse) / 3.0 + FD_TOL * max(abs(value), 1.0)
@@ -624,5 +624,5 @@ def gauge_invariance_check(gen: Generator, spec: RangeSpec, l, r, tol: float = 1
     base = SeriesEvaluator(gen, spec, tol=tol)
     K = base._sum(L)[2]
     conj = (r[:, None] * base.B) / r[None, :]
-    twisted = _FlowSeries(np.diag(base.diag) + conj, base.terms, tol)
+    twisted = _Series(np.diag(base.diag) + conj, base.terms, tol)
     return float(abs(base._sum(L, degree=K)[0][0] - twisted._sum(L, degree=K)[0][0]))

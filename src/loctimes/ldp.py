@@ -15,9 +15,6 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.sparse import identity as sparse_identity
-from scipy.sparse import kron as sparse_kron
-from scipy.sparse import diags_array
 
 from .chain import Generator, RangeSpec, as_times, jump_rate_bound
 
@@ -75,6 +72,8 @@ def _measure_on(gen: Generator, mu, sites=None):
         w = np.asarray(mu, dtype=float)
         if len(w) != len(sites):
             raise ValueError("measure length does not match site count")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("measure has non-finite weights")
     if np.any(w < 0):
         raise ValueError("measure has negative weights")
     if abs(w.sum() - 1.0) > 1e-12 * max(1.0, abs(w.sum())):
@@ -103,7 +102,9 @@ def rate_function_general(gen: Generator, mu, sites=None, seed: int = 0) -> Rate
     Sites with zero weight are dropped: their tilt entries enter the
     objective linearly with nonnegative coefficients, so the infimum sends
     them to zero and the problem restricts exactly to the support.  The
-    solve runs from ``RATE_RESTARTS`` starts, the first at u = 0.
+    solve is ``_minimize_roots`` over the free entries of u with v = e^{u/2},
+    from ``RATE_RESTARTS`` starts, the first at u = 0; the restarts agree
+    when their optima lie within 1e-8.
     """
     sites, w = _measure_on(gen, mu, sites)
     support = [s for s, wx in zip(sites, w) if wx > 0]
@@ -123,20 +124,12 @@ def rate_function_general(gen: Generator, mu, sites=None, seed: int = 0) -> Rate
         return f, grad_full[1:]
 
     rng = np.random.default_rng(seed)
-    results = []
-    for k in range(RATE_RESTARTS):
-        u0 = np.zeros(n - 1) if k == 0 else rng.normal(scale=0.5, size=n - 1)
-        results.append(minimize(objective, u0, jac=True, method="L-BFGS-B",
-                                options={"maxiter": 10_000, "ftol": 1e-15, "gtol": GTOL}))
-    best = min(results, key=lambda res: res.fun)
-    spread = float(max(res.fun for res in results) - best.fun)
-    g = np.exp(np.concatenate([[0.0], best.x]))
-    return RateFunctionResult(
-        value=float(-best.fun),
-        tilt=TiltFunction(tuple(support), g),
-        restarts_agree=spread <= 1e-8,
-        spread=spread,
-    )
+    starts = (np.zeros(n - 1) if k == 0 else rng.normal(scale=0.5, size=n - 1)
+              for k in range(RATE_RESTARTS))
+    value, mu_u, spread, _ = _minimize_roots(
+        objective, starts, roots=lambda x: np.exp(0.5 * np.concatenate([[0.0], x])))
+    tilt = TiltFunction(tuple(support), mu_u / mu_u[0])  # mu is proportional to e^u
+    return RateFunctionResult(-value, tilt, spread <= 1e-8, spread)
 
 
 def density_bound(gen: Generator, spec: RangeSpec, l) -> float:
@@ -179,7 +172,7 @@ class SimplexBall:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
+        if not self.radius > 0:  # also rejects nan
             raise ValueError("radius must be positive")
 
     def contains(self, mu: np.ndarray, tol: float = 1e-9) -> bool:
@@ -196,18 +189,18 @@ class SimplexBall:
 # the rescaled profiles: inf over mu of <sqrt(mu), L sqrt(mu)> - F(mu)
 
 
-def _root_objective(L, F: Callable[[np.ndarray], float] | None = None):
+def _root_objective(apply_L, F: Callable[[np.ndarray], float] | None = None):
     """Objective over v with mu = v^2 / s, s = v.v: the Rayleigh quotient
     q = v.Lv / s minus F(mu), with its gradient (2/s) (Lv - q v) -
     (2/s) (v g - (mu.g) v), g = ``F.gradient(mu)``; a functional without
-    ``gradient`` raises ValueError.  L is symmetric; the value ignores the
-    scale of v."""
+    ``gradient`` raises ValueError.  ``apply_L`` maps v to Lv for a
+    symmetric L; the value ignores the scale of v."""
     if F is not None and not hasattr(F, "gradient"):
         raise ValueError("the functional needs a gradient attribute")
 
     def objective(v):
         s = float(v @ v)
-        Lv = L @ v
+        Lv = apply_L(v)
         q = float(v @ Lv) / s
         val, grad = q, Lv - q * v
         if F is not None:
@@ -223,8 +216,9 @@ def _root_objective(L, F: Callable[[np.ndarray], float] | None = None):
 def _minimize_roots(objective, starts, constraint: SimplexBall | None = None,
                     roots: Callable[[np.ndarray], np.ndarray] | None = None):
     """Minimize the objective from each start; returns the best value, its
-    measure v^2 / v.v, the spread of the optima and whether the restarts
-    agree.  The solver's variable is v, or x with v = roots(x) if given.
+    measure v^2 / v.v, the spread of the optima and whether it is within
+    1e-6 max(1, |best|).  The solver's variable is v, or x with v = roots(x)
+    if given.
 
     Without a constraint this is L-BFGS-B.  With a SimplexBall it is
     SLSQP on the unit sphere v.v = 1 with v >= 0, where mu = v^2 and the
@@ -304,8 +298,8 @@ def ldp_upper_bound_rhs(
     A ball that no restart ends inside raises ValueError.
     """
     S = tuple(S)
-    if T < 1:
-        raise ValueError("the bound requires T >= 1")
+    if not 1 <= T < np.inf:
+        raise ValueError(f"the bound requires a finite T >= 1, got {T!r}")
     A = gen.submatrix(S)
     if not _is_symmetric(A):
         raise ValueError("the upper bound is stated for symmetric generators")
@@ -316,7 +310,8 @@ def ldp_upper_bound_rhs(
     rng = np.random.default_rng(seed)
     starts = (np.sqrt(np.full(n, 1.0 / n) if k == 0 else rng.dirichlet(np.ones(n)))
               for k in range(n_restarts))
-    value, mu, spread, agree = _minimize_roots(_root_objective(-A, functional), starts, constraint)
+    value, mu, spread, agree = _minimize_roots(_root_objective(lambda v: -(A @ v), functional),
+                                               starts, constraint)
     return DeviationBoundRhs(
         total=float(-T * value + errors),
         inner_value=value,
@@ -337,33 +332,23 @@ def ldp_upper_bound_rhs(
 FUNCTIONAL_NAMES = ("zero", "entropy", "power:<gamma>", "linear:<potential file>")
 
 
-def _dirichlet_laplacian(n_per_axis: int, dim: int):
-    """Graph Laplacian of the box lattice with absorbing (zero) boundary:
-    tridiagonal blocks 2, -1 per axis, Kronecker-summed across dimensions."""
-    main = 2.0 * np.ones(n_per_axis)
-    off = -np.ones(n_per_axis - 1)
-    L1 = diags_array([off, main, off], offsets=[-1, 0, 1], format="csr")
-    L = L1
-    for _ in range(dim - 1):
-        L = (sparse_kron(L, sparse_identity(n_per_axis), format="csr")
-             + sparse_kron(sparse_identity(L.shape[0]), L1, format="csr"))
-    return L
-
-
 def _box_objective(n_per_axis: int, dim: int, alpha_sq: float, F):
-    """``chi_discrete``'s objective over x, where v = roots(x) = S (x / sqrt(lambda)), S (the
-    per-axis sine transform; S = S^T = S^-1) and lambda being the eigenbasis and eigenvalues
-    of L = (alpha^2 / 2) * Laplacian, so v.Lv = x.x.  Returns it, roots and roots^-1."""
+    """``chi_discrete``'s objective over x, where v = roots(x) = S (x / sqrt(lambda)), with S
+    (the per-axis sine transform; S = S^T = S^-1) and lambda the eigenbasis and eigenvalues of
+    L = (alpha^2 / 2) * the zero-boundary box Laplacian, applied as Lv = S (lambda S v); so
+    v.Lv = x.x.  Returns it, roots and roots^-1."""
     k = np.arange(1, n_per_axis + 1)
     S = np.sqrt(2.0 / (n_per_axis + 1)) * np.sin(np.pi * np.outer(k, k) / (n_per_axis + 1))
     per_axis = 2.0 - 2.0 * np.cos(np.pi * k / (n_per_axis + 1))
-    scale = 1.0 / np.sqrt(0.5 * alpha_sq * sum(np.meshgrid(*[per_axis] * dim, indexing="ij")).ravel())
-    objective = _root_objective(0.5 * alpha_sq * _dirichlet_laplacian(n_per_axis, dim), F)
+    lam = 0.5 * alpha_sq * sum(np.meshgrid(*[per_axis] * dim, indexing="ij")).ravel()
+    scale = 1.0 / np.sqrt(lam)
 
     def sine(x):
         for axis in range(dim):
             x = (S @ x.reshape(n_per_axis ** axis, n_per_axis, -1)).ravel()
         return x
+
+    objective = _root_objective(lambda v: sine(lam * sine(v)), F)
 
     def over_x(x):
         value, grad = objective(sine(scale * x))

@@ -128,6 +128,18 @@ def test_assert_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bounds_check_upper_bound_row(tmp_path, capsys):
+    # S alone switches on the deviation bound's row
+    path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=2"])
+    assert main(["bounds-check", path, "--set", "S=0,1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    cols = dict(zip(header.split(","), rows[-1].split(",")))
+    assert cols["point"] == "upper-bound-rhs"
+    assert np.isfinite(float(cols["bound"]))
+    assert main(["bounds-check", path, "--set", "upper_bound=on"]) == 2
+    assert "unknown config key 'upper_bound'" in capsys.readouterr().err
+
+
 def test_marginal_check(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["resolution=128"])
     rc = main(["marginal-check", path, "--assert"])
@@ -150,6 +162,19 @@ def test_rate_function_command(capsys):
     assert abs(float(cols["value"]) - direct) < 1e-8
 
 
+@pytest.mark.parametrize("generator, mu", [
+    ("inline:[[-1,1,0],[1,-2,1],[0,3,-3]]", "nan,0.5,0.5"),
+    ("inline:[[-1, 1], [1, -1]]", "nan,1"),
+    ("inline:[[-1, 1], [1, -1]]", "inf,1"),
+])
+def test_rate_function_non_finite_measure_exits_2(capsys, generator, mu):
+    # a bad measure, not a failed --assert: exit 2 with an error line
+    rc = main(["rate-function", "--set", f"generator={generator}", "--set", f"mu={mu}",
+               "--assert"])
+    assert rc == 2
+    assert "error: measure has non-finite weights" in capsys.readouterr().err
+
+
 def test_chi_command(capsys):
     rc = main(["chi", "--set", "nodes=40", "--set", "restarts=2"])
     out = capsys.readouterr().out
@@ -166,13 +191,13 @@ def test_output_starts_with_header(tmp_path, capsys):
 
 
 def test_library_error_exit_code(tmp_path, capsys):
-    # at T=150 the two-state flow series stops at its degree cap with a
+    # at T=150 the two-state series stops at its degree cap with a
     # ConvergenceError; that is a crash of the command (exit 2), not a
     # failed --assert (exit 1)
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["T=150", "points=1"])
     rc = main(["density-eval", path, "--seed", "1", "--assert"])
     assert rc == 2
-    assert "error: flow series not converged" in capsys.readouterr().err
+    assert "error: series not converged" in capsys.readouterr().err
 
 
 def test_unknown_config_key(tmp_path, capsys):

@@ -27,7 +27,7 @@ from loctimes.density import (
     theta_integral_series,
     _covers,
     _derivative_expansion,
-    _FlowSeries,
+    _Series,
     _MonomialTable,
     _TABLES,
     PASS_BLOCK,
@@ -54,7 +54,7 @@ def complete(n):
 
 def shared_table(support, K):
     """The monomial table every series on ``support`` uses, extended through K."""
-    tab = _FlowSeries(support.astype(float), [((), 1.0)], 1e-10).table
+    tab = _Series(support.astype(float), [((), 1.0)], 1e-10).table
     tab.extend(K)
     return tab
 
@@ -171,7 +171,7 @@ def reference_coefficients(B, K):
 
 def table_coefficients(B, K):
     """The series' coefficient a_d per monomial l^d of degree <= K."""
-    series = _FlowSeries(B, [((), 1.0)], 1e-10)
+    series = _Series(B, [((), 1.0)], 1e-10)
     series.table.extend(K)
     a = series._weights(K)[:, 0]
     return dict(zip(map(tuple, series.table.powers[: len(a)].astype(int).tolist()), a))
@@ -280,7 +280,7 @@ def test_flow_table_extends_in_place():
     assert shared_table(complete(4), 5) is shared_table(complete(4), 9)
     assert shared_table(complete(4), 5) is not shared_table(np.triu(complete(4)), 5)
     # a series whose weights reach degree 12 extends them to 18 in place
-    series = _FlowSeries(rates_on(complete(4)), [((), 1.0)], 1e-10)
+    series = _Series(rates_on(complete(4)), [((), 1.0)], 1e-10)
     series._weights(12)
     series._weights(18)
     assert series._weights(18).shape[0] == shared_table(complete(4), 18).size(18)
@@ -483,9 +483,9 @@ def test_batch_values_raise_when_truncated():
     # passed an absolute error floor of 1e-13
     ev = SeriesEvaluator(TWO_STATE, SPEC_AB)
     for l in ([30.0, 30.0], [75.0, 75.0], [20.5148, 129.4852]):
-        with pytest.raises(ConvergenceError, match="flow series not converged at degree 80"):
+        with pytest.raises(ConvergenceError, match="series not converged at degree 80"):
             ev.values(np.array([[1.0, 1.0], l]))
-        with pytest.raises(ConvergenceError, match="flow series not converged at degree 80"):
+        with pytest.raises(ConvergenceError, match="series not converged at degree 80"):
             density_series(TWO_STATE, SPEC_AB, l)
     assert abs(ev.values(np.array([[1.0, 1.0]]))[0][0] - RHO_12) < 1e-10
 
@@ -591,7 +591,7 @@ def test_theta_monomial_sum_matches_flow_sum():
         np.fill_diagonal(B, 0.0)
         for M in (B, B * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n, n)))):
             value, _ = theta_integral_series(M, l, tol=1e-9)
-            K = _FlowSeries(M, [((), 1.0)], 1e-9)._sum(l[None, :])[2]
+            K = _Series(M, [((), 1.0)], 1e-9)._sum(l[None, :])[2]
             (expected,) = flow_sums(M, l, K, [()])
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
@@ -605,7 +605,7 @@ def test_theta_complex_diagonal():
     value, err = theta_integral_series(M, l)
     assert isinstance(err, float) and err >= 0.0
     off = M - np.diag(np.diag(M))
-    K = _FlowSeries(M, [((), 1.0)], 1e-12)._sum(l[None, :])[2]
+    K = _Series(M, [((), 1.0)], 1e-12)._sum(l[None, :])[2]
     (expected,) = flow_sums(off, l, K, [()])
     expected *= np.exp(np.diag(M) @ l)
     assert abs(value - expected) <= 1e-12 * abs(expected)

@@ -13,7 +13,6 @@ from loctimes.ldp import (
     rate_function_general,
     rate_function_symmetric,
     rescaled_bound_experiment,
-    _dirichlet_laplacian,
     _box_objective,
     _root_objective,
 )
@@ -28,6 +27,16 @@ def random_symmetric_generator(n, rng):
     A = B.copy()
     np.fill_diagonal(A, -B.sum(axis=1))
     return validate_generator(A)
+
+
+def dense_box_laplacian(n, dim):
+    """The zero-boundary box Laplacian, dense: the tridiagonal 2, -1 of one
+    axis, Kronecker-summed across the axes."""
+    L1 = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    L = L1
+    for _ in range(dim - 1):
+        L = np.kron(L, np.eye(n)) + np.kron(np.eye(len(L)), L1)
+    return L
 
 
 def random_generator(n, rng):
@@ -49,6 +58,14 @@ def test_measure_validation():
         rate_function_general(gen, [0.5, 0.5, 0.5], gen.states)
     with pytest.raises(ValueError):
         rate_function_general(gen, [-0.1, 0.6, 0.5], gen.states)
+
+
+@pytest.mark.parametrize("mu", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [0.5, -np.inf, 0.5]])
+def test_measure_rejects_non_finite_weights(mu):
+    # nan passes both the sign and the sum check, so it is refused on its own
+    for rate in (rate_function_general, rate_function_symmetric):
+        with pytest.raises(ValueError, match="non-finite"):
+            rate(validate_generator([[-1, 1, 0], [1, -2, 1], [0, 1, -1]]), mu)
 
 
 def test_symmetric_forms_agree():
@@ -165,8 +182,9 @@ def test_upper_bound_rhs_arithmetic():
 
 def test_upper_bound_rejects_short_horizon_and_asymmetry():
     gen = validate_generator([[-1, 1], [1, -1]])
-    with pytest.raises(ValueError):
-        ldp_upper_bound_rhs(gen, (0, 1), 0.5)
+    for T in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite T >= 1"):
+            ldp_upper_bound_rhs(gen, (0, 1), T)
     with pytest.raises(ValueError):
         ldp_upper_bound_rhs(random_generator(3, np.random.default_rng(0)), (0, 1, 2), 1.0)
 
@@ -181,8 +199,9 @@ def test_upper_bound_with_constraint():
 
 
 def test_simplex_ball_projection():
-    with pytest.raises(ValueError):
-        SimplexBall(np.array([0.5, 0.5]), 0.0)
+    for radius in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            SimplexBall(np.array([0.5, 0.5]), radius)
 
 
 def test_upper_bound_raises_when_ball_misses_simplex():
@@ -205,9 +224,9 @@ def test_root_objective_gradient(name, tmp_path):
     if name == "no-gradient":
         # the objective's gradient needs the functional's own gradient
         with pytest.raises(ValueError, match="gradient"):
-            _root_objective(L, lambda mu: float(np.sum(np.sin(3.0 * mu)) + mu @ mu))
+            _root_objective(L.__matmul__, lambda mu: float(np.sum(np.sin(3.0 * mu)) + mu @ mu))
         return
-    objective = _root_objective(L, make_box_functional(name, 1, 1.0, n))
+    objective = _root_objective(L.__matmul__, make_box_functional(name, 1, 1.0, n))
     h = 1e-6
     for _ in range(3):
         v = rng.uniform(0.2, 1.5, size=n)
@@ -298,7 +317,7 @@ def test_chi_matches_dense_eigenvalue():
     F = lambda mu: float(V @ mu)
     F.gradient = lambda mu: V
     res = chi_discrete(1, radius, n, F, n_restarts=4)
-    H = 0.5 / spacing ** 2 * _dirichlet_laplacian(n, 1).toarray() - np.diag(V)
+    H = 0.5 / spacing ** 2 * dense_box_laplacian(n, 1) - np.diag(V)
     lam = np.linalg.eigvalsh(H)[0]
     assert abs(res.value - lam) < 1e-7
 
@@ -311,8 +330,8 @@ def test_box_objective_change_of_variables(n, dim):
     alpha_sq = 3.0
     F = make_box_functional("entropy", dim, 1.0, n)
     objective, roots, from_roots = _box_objective(n, dim, alpha_sq, F)
-    L = 0.5 * alpha_sq * _dirichlet_laplacian(n, dim).toarray()
-    plain = _root_objective(L, F)
+    L = 0.5 * alpha_sq * dense_box_laplacian(n, dim)
+    plain = _root_objective(L.__matmul__, F)
     rng = np.random.default_rng(n)
     for _ in range(3):
         x = rng.normal(size=n ** dim)
@@ -336,7 +355,7 @@ def test_chi_two_dim_matches_dense_eigenvalue():
     F = lambda mu: float(V @ mu)
     F.gradient = lambda mu: V
     res = chi_discrete(2, radius, n, F, n_restarts=3)
-    H = 0.5 / spacing ** 2 * _dirichlet_laplacian(n, 2).toarray() - np.diag(V)
+    H = 0.5 / spacing ** 2 * dense_box_laplacian(n, 2) - np.diag(V)
     w, vecs = np.linalg.eigh(H)
     assert abs(res.value - w[0]) < 1e-9 * abs(w[0])
     assert np.allclose(res.minimizer, vecs[:, 0] ** 2, atol=1e-7)
