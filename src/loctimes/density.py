@@ -452,7 +452,10 @@ def _quadrature_integrand(A: np.ndarray, lv: np.ndarray, z: np.ndarray, a_pos: i
     Every phase e^{i(theta_x - theta_y)} is z_x conj(z_y), so a node needs
     only w = sqrt(l) z: the exponent is sum_xy A_xy w_x conj(w_y), and the
     determinant is that of -B plus the potential (z_x / sqrt(l_x))
-    (B conj(w))_x on its diagonal, row b and column a replaced by units."""
+    (B conj(w))_x on its diagonal, row b and column a replaced by units.
+    Those units leave (-1)^(a+b) times the minor without row b and column
+    a, so only that (|R| - 1)-square stack is built; its diagonal entries
+    are the sites other than a and b."""
     n = len(lv)
     sql = np.sqrt(lv)
     A = A.astype(complex)  # like w, so that no product below casts a per-node array
@@ -460,13 +463,14 @@ def _quadrature_integrand(A: np.ndarray, lv: np.ndarray, z: np.ndarray, a_pos: i
     w = sql * z
     wc = w.conj()
     expo = np.exp(np.einsum("ix,xy,iy->i", w, A, wc))
-    D = np.empty((len(z), n, n), dtype=complex)
-    D[:] = -B
-    D.reshape(-1, n * n)[:, :: n + 1] += z / sql * (wc @ B.T)  # the diagonals
-    D[:, b_pos, :] = 0.0
-    D[:, :, a_pos] = 0.0
-    D[:, b_pos, a_pos] = 1.0
-    return np.linalg.det(D) * expo
+    rows = [x for x in range(n) if x != b_pos]
+    cols = [x for x in range(n) if x != a_pos]
+    keep = [x for x in rows if x != a_pos]
+    D = np.empty((len(z), n - 1, n - 1), dtype=complex)
+    D[:] = -B[np.ix_(rows, cols)]
+    diag = [rows.index(x) * (n - 1) + cols.index(x) for x in keep]
+    D.reshape(len(z), -1)[:, diag] += z[:, keep] / sql[keep] * (wc @ B[keep].T)
+    return (-1) ** (a_pos + b_pos) * np.linalg.det(D) * expo
 
 
 def _quadrature_grid(A: np.ndarray, lv: np.ndarray, a_pos: int, tol: float) -> np.ndarray:
@@ -505,13 +509,23 @@ def density_quadrature(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) ->
     oscillatory exponential (``_quadrature_integrand``), integrated by a
     periodic trapezoidal rule with the starting site's angle pinned to zero.
 
+    The rates are real, so the node -theta gives the complex conjugate of
+    the node theta, and each grid maps onto itself under k -> -k mod N on
+    every angle.  Only the nodes whose last angle has index k <= N / 2 are
+    evaluated, those with 0 < 2k < N counted twice, and the mean is the
+    weighted sum of the real part over the full grid's size: real by
+    construction, on about (N // 2 + 1) / N of the nodes.
+
     The grid sized by ``_quadrature_grid`` and each one after it are
     compared with the next (``_refine``) until two agree to ``tol``
-    relative to the finer.  The error estimate adds the imaginary part and
-    the rounding, 2^-52 (sum_xy |A_xy| sqrt(l_x l_y) + |R|) times the mean
-    modulus of the integrand.  ``ConvergenceError`` is raised before any
-    grid that takes the nodes evaluated past ``QUADRATURE_NODE_LIMIT``,
-    the first two grids counted together.
+    relative to the finer.  The error estimate adds the rounding,
+    2^-52 (sum_xy |A_xy| sqrt(l_x l_y) + |R|) times the mean modulus of the
+    integrand, which takes the same weights.  ``ConvergenceError`` is
+    raised before any grid that takes the grid nodes past
+    ``QUADRATURE_NODE_LIMIT``, the first two grids counted together; the
+    limit counts every node of a grid, evaluated or not.  ``meta`` gives
+    the finest grid's nodes and ``evaluated``, the nodes computed over all
+    the grids.
     """
     lv = as_times(spec, l)
     A = gen.submatrix(spec.range)
@@ -520,24 +534,32 @@ def density_quadrature(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) ->
     b_pos = spec.range.index(spec.end)
     cols = [k for k in range(n) if k != a_pos]
 
-    def node_means(N: np.ndarray) -> tuple[complex, float]:
-        """Means of the integrand and of its modulus over the grid of N[j]
-        nodes on angle cols[j], generated in chunks from a flat index."""
+    def node_means(N: np.ndarray) -> tuple[float, float, int]:
+        """Means of the integrand's real part and of its modulus over the
+        grid of N[j] nodes on angle cols[j], and the nodes evaluated.  The nodes come in
+        chunks from a flat index whose most significant digit is the last
+        angle's index k, so the half grid k <= N[-1] / 2 is a prefix of it."""
         roots = [np.exp(1j * (np.arange(k) * (2 * np.pi / k))) for k in N]
-        total, modulus, size = 0.0 + 0.0j, 0.0, prod(N.tolist())
-        for lo in range(0, size, 65536):
-            flat = np.arange(lo, min(lo + 65536, size))
+        last = int(N[-1]) if len(N) else 1
+        inner = prod(N[:-1].tolist())
+        half = inner * (last // 2 + 1)
+        total, modulus = 0.0, 0.0
+        for lo in range(0, half, 65536):
+            flat = np.arange(lo, min(lo + 65536, half))
+            k = flat // inner
+            weight = np.where((k > 0) & (2 * k < last), 2.0, 1.0)
             z = np.ones((len(flat), n), dtype=complex)
             for col, r in zip(cols, roots):
                 flat, i = np.divmod(flat, len(r))
                 z[:, col] = r[i]
             f = _quadrature_integrand(A, lv, z, a_pos, b_pos)
-            total += np.sum(f)
-            modulus += np.sum(np.abs(f))
-        return total / size, modulus / size
+            total += weight @ f.real
+            modulus += weight @ np.abs(f)
+        size = inner * last
+        return total / size, modulus / size, half
 
     N = _quadrature_grid(A, lv, a_pos, tol)
-    used, prev = prod(N.tolist()), None
+    used, prev, evaluated = prod(N.tolist()), None, 0
     while True:
         fine = _refine(N)
         used += prod(fine.tolist())
@@ -546,8 +568,10 @@ def density_quadrature(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) ->
                 f"quadrature not converged within {QUADRATURE_NODE_LIMIT} nodes "
                 f"(up to {fine.max()} per angle over {n - 1} angles)")
         if prev is None:
-            prev = node_means(N)[0]
-        cur, modulus = node_means(fine)
+            prev, _, count = node_means(N)
+            evaluated += count
+        cur, modulus, count = node_means(fine)
+        evaluated += count
         diff = abs(cur - prev)
         if diff <= tol * abs(cur):
             break
@@ -555,10 +579,11 @@ def density_quadrature(gen: Generator, spec: RangeSpec, l, tol: float = 1e-9) ->
     sql = np.sqrt(lv)
     rounding = 2.0 ** -52 * (sql @ np.abs(A) @ sql + n) * modulus
     return DensityResult(
-        value=float(cur.real),
+        value=float(cur),
         method="quadrature",
-        error_estimate=float(diff + abs(cur.imag) + rounding),
-        meta={"nodes_per_angle": max(fine.tolist(), default=0), "nodes": prod(fine.tolist())},
+        error_estimate=float(diff + rounding),
+        meta={"nodes_per_angle": max(fine.tolist(), default=0), "nodes": prod(fine.tolist()),
+              "evaluated": evaluated},
     )
 
 

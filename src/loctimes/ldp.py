@@ -165,15 +165,18 @@ def density_bound(gen: Generator, spec: RangeSpec, l) -> float:
 
 @dataclass(frozen=True)
 class SimplexBall:
-    """Intersection of the probability simplex with a Euclidean ball."""
+    """Intersection of the probability simplex with a Euclidean ball of
+    finite, positive radius around a finite center vector."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.radius > 0:  # also rejects nan
-            raise ValueError("radius must be positive")
+        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError("the center must be a vector of finite numbers")
+        if not 0 < self.radius < np.inf:  # also rejects nan
+            raise ValueError("radius must be positive and finite")
 
     def contains(self, mu: np.ndarray, tol: float = 1e-9) -> bool:
         mu = np.asarray(mu, dtype=float)
@@ -223,13 +226,16 @@ def _minimize_roots(objective, starts, constraint: SimplexBall | None = None,
     Without a constraint this is L-BFGS-B.  With a SimplexBall it is
     SLSQP on the unit sphere v.v = 1 with v >= 0, where mu = v^2 and the
     ball reads r^2 - |v^2 - c|^2 >= 0; only ends inside the ball count.
+    Every mu is within 1 + |c| of c, so a larger r is taken as that, the
+    same set, which keeps r^2 finite.
     """
     if constraint is None:
         def solve(v0):
             return minimize(objective, v0, jac=True, method="L-BFGS-B",
                             options={"maxiter": 20_000, "ftol": 1e-16, "gtol": GTOL})
     else:
-        c, r2 = constraint.center, constraint.radius ** 2
+        c = constraint.center
+        r2 = min(constraint.radius, 1.0 + float(np.linalg.norm(c))) ** 2
         conditions = [
             {"type": "eq", "fun": lambda v: v @ v - 1.0, "jac": lambda v: 2.0 * v},
             {"type": "ineq", "fun": lambda v: r2 - np.sum((v * v - c) ** 2),
@@ -295,7 +301,8 @@ def ldp_upper_bound_rhs(
     it must carry a ``gradient`` attribute, the gradient of F in mu.
     The rate function is the Dirichlet form of sqrt(mu), so the infimum is
     taken over v = sqrt(mu), from the uniform measure and Dirichlet draws.
-    A ball that no restart ends inside raises ValueError.
+    A ball whose center does not have one entry per site, or that no
+    restart ends inside, raises ValueError.
     """
     S = tuple(S)
     if not 1 <= T < np.inf:
@@ -305,6 +312,9 @@ def ldp_upper_bound_rhs(
         raise ValueError("the upper bound is stated for symmetric generators")
     eta = jump_rate_bound(gen, S)
     n = len(S)
+    if constraint is not None and len(constraint.center) != n:
+        raise ValueError(f"the ball's center has {len(constraint.center)} entries "
+                         f"for {n} sites")
     errors = _error_terms(n, eta, T)
 
     rng = np.random.default_rng(seed)

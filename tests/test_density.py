@@ -31,7 +31,9 @@ from loctimes.density import (
     _MonomialTable,
     _TABLES,
     PASS_BLOCK,
+    _quadrature_grid,
     _quadrature_integrand,
+    _refine,
 )
 
 # frozen reference values (independently computed Bessel series)
@@ -769,7 +771,7 @@ def _phase_tensor_integrand(A, lv, th, a_pos, b_pos):
     return np.linalg.det(D) * expo
 
 
-@pytest.mark.parametrize("a_pos, b_pos", [(0, 2), (1, 1)])
+@pytest.mark.parametrize("a_pos, b_pos", [(0, 2), (1, 1), (3, 0)])
 def test_quadrature_integrand_matches_phase_tensor(a_pos, b_pos):
     rng = np.random.default_rng(29)
     gen = random_generator(5, rng, scale=2.0)  # non-symmetric, killing at 4
@@ -780,6 +782,44 @@ def test_quadrature_integrand_matches_phase_tensor(a_pos, b_pos):
     got = _quadrature_integrand(A, lv, np.exp(1j * th), a_pos, b_pos)
     ref = _phase_tensor_integrand(A, lv, th, a_pos, b_pos)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("gen, spec, lv, parity", [
+    (random_generator(5, np.random.default_rng(40)), RangeSpec((0, 1, 2, 3), 0, 3),
+     4 * np.random.default_rng(140).dirichlet(np.ones(4)), 1),
+    (random_generator(5, np.random.default_rng(42)), RangeSpec((0, 1, 2, 3), 3, 0),
+     4 * np.random.default_rng(142).dirichlet(np.ones(4)), 0),
+    (random_generator(5, np.random.default_rng(43)), RangeSpec((0, 1, 2, 3), 1, 1),
+     4 * np.random.default_rng(143).dirichlet(np.ones(4)), 1),
+    (random_generator(5, np.random.default_rng(46)), RangeSpec((0, 1, 2, 3), 2, 2),
+     4 * np.random.default_rng(146).dirichlet(np.ones(4)), 0),
+    (TWO_STATE, SPEC_AB, np.array([1.0, 2.0]), 0),
+    (TWO_STATE, SPEC_AA, np.array([1.0, 1.0]), 1),
+    (TWO_STATE, RangeSpec((0,), 0, 0), np.array([1.0]), None),
+], ids=["ab-odd", "ab-even", "aa-odd", "aa-even", "two-state-even", "two-state-odd", "one-site"])
+def test_half_grid_matches_the_full_grid(gen, spec, lv, parity):
+    # the quadrature evaluates the nodes whose last angle has index
+    # k <= N / 2 and doubles the conjugate pairs; summed over every node of
+    # the same grid, the unfactored integrand gives the same mean, and its
+    # imaginary part cancels.  An even N has self-conjugate nodes at k = N / 2.
+    A = gen.submatrix(spec.range)
+    a_pos, b_pos = spec.range.index(spec.start), spec.range.index(spec.end)
+    res = density_quadrature(gen, spec, lv)
+    grids = [_quadrature_grid(A, lv, a_pos, 1e-9)]
+    grids.append(_refine(grids[0]))
+    while prod(grids[-1].tolist()) != res.meta["nodes"]:
+        grids.append(_refine(grids[-1]))
+    N = grids[-1]
+    if parity is not None:
+        assert N[-1] % 2 == parity
+    cols = [x for x in range(spec.size) if x != a_pos]
+    th = np.zeros((prod(N.tolist()), spec.size))
+    th[:, cols] = list(itertools.product(*[2 * np.pi * np.arange(k) / k for k in N]))
+    full = _phase_tensor_integrand(A, lv, th, a_pos, b_pos).mean()
+    assert abs(full.imag) <= 1e-13 * abs(full.real)
+    assert abs(res.value - full.real) <= 1e-13 * abs(full.real)
+    assert res.meta["evaluated"] == sum(prod(g[:-1].tolist()) * (int(g[-1]) // 2 + 1) if len(g) else 1
+                                        for g in grids)
 
 
 @pytest.mark.parametrize("spec, order", [(SPEC_AB, 0), (SPEC_AA, 1)])

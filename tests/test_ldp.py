@@ -199,9 +199,29 @@ def test_upper_bound_with_constraint():
 
 
 def test_simplex_ball_projection():
-    for radius in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="radius must be positive"):
+    for radius in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
             SimplexBall(np.array([0.5, 0.5]), radius)
+    for center in ([np.nan, 0.5], [np.inf, 0.0], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="center must be a vector of finite numbers"):
+            SimplexBall(np.array(center), 0.1)
+
+
+def test_upper_bound_rejects_a_center_of_the_wrong_length():
+    # before, numpy's broadcast error from inside the solver
+    gen = validate_generator([[-1, 1], [1, -1]])
+    for center in ([1.0], [0.3, 0.3, 0.4]):
+        with pytest.raises(ValueError, match=f"center has {len(center)} entries for 2 sites"):
+            ldp_upper_bound_rhs(gen, (0, 1), 2.0, constraint=SimplexBall(np.array(center), 0.1))
+
+
+def test_upper_bound_with_a_ball_past_the_simplex():
+    # a ball of radius 1e300 holds the whole simplex; r^2 overflowed before
+    gen = validate_generator([[-1, 1], [1, -1]])
+    free = ldp_upper_bound_rhs(gen, (0, 1), 2.0)
+    tied = ldp_upper_bound_rhs(gen, (0, 1), 2.0, constraint=SimplexBall(np.array([0.5, 0.5]), 1e300))
+    assert tied.restarts_agree
+    assert abs(tied.inner_value - free.inner_value) <= 1e-9
 
 
 def test_upper_bound_raises_when_ball_misses_simplex():
