@@ -23,7 +23,6 @@ evaluators are meant for the open simplex only.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import prod
 
@@ -56,6 +55,13 @@ class ConvergenceError(RuntimeError):
 
 class CapacityError(RuntimeError):
     """An enumeration exceeded its configured size limit."""
+
+
+def _check_tol(tol: float):
+    """A relative tolerance must lie in (0, inf): at 0, below or nan no
+    degree or grid meets it, and at inf every one does."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +112,14 @@ class _MonomialTable:
     A layer is built from packed integer keys of d.  Every cover through x
     has at least two sites, so d_x <= |d| / 2, and with that many bits per
     site adding keys adds the d; sorting the candidate keys deduplicates
-    the layer.
+    the layer.  ``d_fact`` holds d! per monomial, in the order of ``powers``.
+
+    The coefficients depend on the rates B alone, so the table also keeps
+    those of the last B it served: ``coef`` is (key, list), the key B's
+    dtype and bytes and the list d! a_d per degree, as far as any series
+    on B has needed them.  The grid batch, the point evaluations and the
+    finite differences of one chain so run one recurrence between them;
+    a series on other rates replaces the list.
     """
 
     def __init__(self, support: np.ndarray):
@@ -117,9 +130,11 @@ class _MonomialTable:
                        for s in sorted({len(S) for S in covers})}
         self.max_degree = 0
         self.powers = np.zeros((1, self.n))
+        self.d_fact = np.ones(1)  # d! per monomial
         self.start = [0, 1]
         self.targets = [np.zeros(0, dtype=np.int32)]
         self.kept = 1  # monomials plus triples
+        self.coef = (None, [])
 
     def size(self, K: int) -> int:
         """The number of monomials of degree <= K."""
@@ -166,6 +181,8 @@ class _MonomialTable:
                 self.max_degree = k
         finally:
             self.powers = np.concatenate([self.powers, *new])
+            self.d_fact = np.concatenate([self.d_fact,
+                                          *(np.prod(factorial(layer), axis=1) for layer in new)])
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +196,7 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 PASS_BLOCK = 1 << 17  # elements of the monomial pass's buffer (1 MB of float64)
+TAIL_START = 16  # degrees of a stopping search's first table of bounds
 _TABLES: dict[bytes, _MonomialTable] = {}
 
 
@@ -191,9 +209,10 @@ class _Series:
     pairs (Q_j, det_j) of ``terms``, where diag and B are the diagonal and
     off-diagonal parts of the real or complex matrix ``A`` and theta_B is
     the angular integral of B, summed as its series sum_d a_d l^d degree by
-    degree (``_MonomialTable``) to the first degree K where every row's
-    truncation bound is at most tol times its partial sum.  d/dl_x takes a
-    monomial l^d to 2 d_x / (2 l_x) times it.
+    degree (``_MonomialTable``, which also keeps the d! a_d of the last B
+    it served) to the first degree K where every row's truncation bound is
+    at most tol times its partial sum.  d/dl_x takes a monomial l^d to
+    2 d_x / (2 l_x) times it.  Raises ``ValueError`` unless 0 < tol < inf.
 
     The bound: a_d sums the balanced flows with out-degrees d, each flow's
     term is at most its term in e^s, s = sum_{x != y} |B_xy| sqrt(l_x l_y),
@@ -205,6 +224,7 @@ class _Series:
     """
 
     def __init__(self, A: np.ndarray, terms: list, tol: float):
+        _check_tol(tol)
         self.diag = np.diag(A).copy()
         self.B = A - np.diag(self.diag)
         support = self.B != 0
@@ -214,32 +234,38 @@ class _Series:
         self.table = _TABLES[key]
         self.terms = terms
         self.tol = tol
-        # c_S = (-1)^|S| det(B_SS) of the covers, by cover size
-        self._minors = {s: (-1) ** s * np.linalg.det(self.B[S[:, :, None], S[:, None, :]])
-                        for s, S in self.table.covers.items()}
-        self._W, self._coef, self._through = np.zeros((0, len(terms))), [np.ones(1)], -1
+        self._W, self._through = np.zeros((0, len(terms))), -1
 
     def _weights(self, K: int) -> np.ndarray:
         """Per monomial of degree <= K and per term (Q, det): its
-        coefficient a_d times prod_{x in Q} 2 d_x.  ``_coef[k]`` holds
+        coefficient a_d times prod_{x in Q} 2 d_x.  ``coef[k]`` holds
         d! a_d for the monomials of degree k, by the recurrence of
         ``_MonomialTable``: per degree, one ``bincount`` of c_S (d! a_d)
-        over the triples (S, d, d + 1_S) into their targets."""
+        over the triples (S, d, d + 1_S) into their targets.  The list is
+        the table's, kept for the last rates B it served, so it may already
+        reach past K."""
         if K > self._through:
             tab = self.table
-            for k in range(len(self._coef), K + 1):
+            key = (self.B.dtype.str, self.B.tobytes())
+            if tab.coef[0] != key:
+                tab.coef = (key, [np.ones(1)])
+            coef = tab.coef[1]
+            if len(coef) <= K:
+                # c_S = (-1)^|S| det(B_SS) of the covers, by cover size
+                minors = {s: (-1) ** s * np.linalg.det(self.B[S[:, :, None], S[:, None, :]])
+                          for s, S in tab.covers.items()}
+            for k in range(len(coef), K + 1):
                 w = np.concatenate([np.zeros(0, self.B.dtype)] +
-                                   [np.outer(c, self._coef[k - s]).ravel()
-                                    for s, c in self._minors.items() if s <= k])
+                                   [np.outer(c, coef[k - s]).ravel()
+                                    for s, c in minors.items() if s <= k])
                 t, size = tab.targets[k], tab.start[k + 1] - tab.start[k]
-                coef = -np.bincount(t, weights=w.real, minlength=size)
+                layer = -np.bincount(t, weights=w.real, minlength=size)
                 if np.iscomplexobj(w):
-                    coef = coef - 1j * np.bincount(t, weights=w.imag, minlength=size)
-                self._coef.append(coef)
+                    layer = layer - 1j * np.bincount(t, weights=w.imag, minlength=size)
+                coef.append(layer)
             m0, m1 = tab.size(self._through), tab.size(K)
             powers = tab.powers[m0:m1]
-            d_fact = np.prod(factorial(powers), axis=1)
-            a = np.concatenate(self._coef[self._through + 1 :]) / d_fact
+            a = np.concatenate(coef[self._through + 1 : K + 1]) / tab.d_fact[m0:m1]
             W = np.empty((m1 - m0, len(self.terms)), dtype=a.dtype)
             for j, (Q, _) in enumerate(self.terms):
                 W[:, j] = a * np.prod(2.0 * powers[:, Q], axis=1)
@@ -305,7 +331,11 @@ class _Series:
         that closed form where rounding puts it lower.  Past degree K the
         partial sum stays within |partial_K| + 2 b_K of zero, b_K the bound
         at K, so each pass sums through the first degree where every bound,
-        falling with the degree, is within tol of that, found by bisection.
+        falling with the degree, is within tol of that.  A pass reads the
+        bounds of the degrees K .. J from one table of the closed form over
+        j <= J, J doubled from ``TAIL_START`` up to ``MAX_DEGREE`` while no
+        degree qualifies, and its rows go through in blocks whose arrays hold
+        at most ``PASS_BLOCK`` elements.
         """
         L = np.asarray(L, dtype=float)
         logL, prefactor = np.log(L), np.exp(L @ self.diag)
@@ -314,35 +344,74 @@ class _Series:
         for j, (Q, det) in enumerate(self.terms):
             scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
         s, C = self._majorant(L)
-        m = np.arange(len(C))[:, None]  # a column against the rows of s
+        M = len(C) - 1
+        m = np.arange(M + 1)[:, None]  # a column against the rows of s
         with np.errstate(over="ignore", divide="ignore"):
             es, log_s = np.exp(s), np.log(s)
+        top = MAX_DEGREE if degree is None else degree
+        log_fact = gammaln(np.arange(top + 1) + 2)  # log (j + 1)!
 
-        def tail(K: int) -> np.ndarray:
-            k = np.maximum(K - m, 0)
-            r = s / (k + 2)
-            t = np.exp((k + 1) * log_s - gammaln(k + 2), out=np.zeros(r.shape), where=r < 1)
-            T = np.minimum(es, np.divide(t, 1 - r, out=np.full(r.shape, np.inf), where=r < 1))
-            return np.einsum("mi,mi->i", C, np.where(K - m < 0, es, T))
+        def tails(rows: slice, lo: int, hi: int) -> np.ndarray:
+            """The bounds at ``rows`` of the degrees k = lo .. hi, laid out
+            (k, row): sum_m C_m T(s, k - m), from one table of T(s, j) over
+            j = lo - M .. hi.  einsum's order of summation over m depends on
+            the layout (a lone row is summed in another order than a batch);
+            in this one each degree's bound is summed as einsum sums the
+            (m, row) array of that degree alone, bit for bit."""
+            s_r, es_r = s[rows], es[rows]
+            T = np.empty((hi - lo + M + 1, len(s_r)))
+            neg = min(max(M - lo, 0), len(T))
+            T[:neg] = es_r
+            t, j = T[neg:], np.arange(max(lo - M, 0), hi + 1)[:, None]
+            np.multiply(j + 1, log_s[rows], out=t)
+            t -= log_fact[j]
+            r = s_r / (j + 2)
+            below = r < 1
+            np.exp(t, out=t, where=below)
+            np.divide(t, np.subtract(1, r, out=r), out=t, where=below)
+            t[~below] = np.inf
+            np.minimum(t, es_r, out=t)
+            k = np.arange(hi - lo + 1)[:, None] - m.T + M
+            return np.einsum("mi,kmi->ki", C[:, rows], T[k])
 
-        def bound(K: int) -> np.ndarray:
+        def blocks(width: int) -> list[slice]:
+            """The rows in blocks of nearly equal size, each within
+            ``PASS_BLOCK`` elements at ``width`` elements a row; so a batch's
+            last block is never a lone row, which ``tails`` would sum in
+            another order."""
+            count = -(-len(L) // max(1, PASS_BLOCK // width))
+            return [slice(i * len(L) // count, (i + 1) * len(L) // count) for i in range(count)]
+
+        def bound(K: int, tail: np.ndarray) -> np.ndarray:
             with np.errstate(invalid="ignore", over="ignore"):
                 T = es * np.where(K >= m, gammainc(np.maximum(K - m, 0) + 1, s), 1.0)
-                return np.abs(prefactor) * np.minimum(np.einsum("mi,mi->i", C, T), tail(K))
+                return np.abs(prefactor) * np.minimum(np.einsum("mi,mi->i", C, T), tail)
 
+        every = slice(None)
         if degree is not None:
-            return prefactor * self._pass_sum(logL, scale, -1, degree), bound(degree), degree
-        total, K = np.zeros(len(L)), -1
+            return (prefactor * self._pass_sum(logL, scale, -1, degree),
+                    bound(degree, tails(every, degree, degree)[0]), degree)
+        total, K, J = np.zeros(len(L)), -1, min(TAIL_START, MAX_DEGREE)
         while True:
-            reach = self.tol * (np.abs(total) + 2 * tail(K))
-            degrees = range(K + 1, MAX_DEGREE + 1)
-            hi = K + 1 + bisect_left(degrees, True, key=lambda k: bool(np.all(tail(k) <= reach)))
-            if hi > MAX_DEGREE:
-                raise ConvergenceError(f"series not converged at degree {MAX_DEGREE}")
+            # the first degree past K where every row's bound is within reach
+            while True:
+                if J > K:
+                    within = np.ones(J - K, dtype=bool)
+                    for rows in blocks((J - K + M + 1) * (M + 1)):
+                        t = tails(rows, K, J)
+                        reach = self.tol * (np.abs(total[rows]) + 2 * t[0])
+                        within &= np.all(t[1:] <= reach, axis=1)
+                    if within.any():
+                        break
+                if J == MAX_DEGREE:
+                    raise ConvergenceError(f"series not converged at degree {MAX_DEGREE}")
+                J = min(2 * J, MAX_DEGREE)
+            hi = K + 1 + int(np.argmax(within))
             total = total + self._pass_sum(logL, scale, K, hi)
+            tail = tails(every, hi, hi)[0]
             # written so that a nan bound (overflowed tail) does not stop
-            if np.all(tail(hi) <= self.tol * np.abs(total)):
-                return prefactor * total, bound(hi), hi
+            if np.all(tail <= self.tol * np.abs(total)):
+                return prefactor * total, bound(hi, tail), hi
             K = hi
 
     def value(self, l: np.ndarray):
@@ -373,8 +442,6 @@ def theta_integral_series(B_tilde, l, tol: float = 1e-12):
     """
     B = np.asarray(B_tilde)
     l = np.asarray(l, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if l.ndim != 1 or B.shape != (len(l), len(l)):
         raise ValueError("B_tilde must be square and match l")
     return _Series(B, [((), 1.0)], tol).value(l)
@@ -484,8 +551,7 @@ def _quadrature_grid(A: np.ndarray, lv: np.ndarray, a_pos: int, tol: float) -> n
     c + sqrt(c^2 + 2cs), c = log(2 / tol) - log(e^{-s} I_0(s)), since
     I_N(s) <= e^{s cosh t - Nt} at t = asinh(N / s), which is at most
     e^{s - N^2 / (2(s + N))}."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     B = np.abs(A - np.diag(np.diag(A)))
     sql = np.sqrt(lv)
     s = np.delete(sql * ((B + B.T) @ sql), a_pos)
@@ -595,7 +661,8 @@ def density_finite_difference(gen: Generator, spec: RangeSpec, l) -> DensityResu
 
     The step grows with the differentiation order, up to a quarter of the
     smallest local time: high-order mixed stencils divide by step^order,
-    so too small a step drowns the value in rounding noise."""
+    so too small a step drowns the value in rounding noise.  ``meta`` gives
+    the step and the series degree the stencil batch was summed through."""
     lv = as_times(spec, l)
     order = spec.size - 2 + (spec.start == spec.end)
     step = min(lv.min() / 4.0, 0.01 * (order + 1))
@@ -610,7 +677,7 @@ def density_finite_difference(gen: Generator, spec: RangeSpec, l) -> DensityResu
                 row[list(Q)] += np.multiply(signs, h / 2)
                 rows.append(row)
                 weights.append(det * np.prod(signs) / h ** len(Q))
-    theta, _ = _Series(A, [((), 1.0)], FD_TOL).values(np.array(rows))
+    theta, _, degree = _Series(A, [((), 1.0)], FD_TOL)._sum(np.array(rows))
     coarse, fine = (np.array(weights) * theta).reshape(2, -1).sum(axis=1)
     value = (4.0 * fine - coarse) / 3.0
     err = abs(fine - coarse) / 3.0 + FD_TOL * max(abs(value), 1.0)
@@ -618,7 +685,7 @@ def density_finite_difference(gen: Generator, spec: RangeSpec, l) -> DensityResu
         value=value,
         method="finite-difference",
         error_estimate=float(err),
-        meta={"step": step},
+        meta={"step": step, "degree": degree},
     )
 
 

@@ -200,6 +200,12 @@ def test_library_error_exit_code(tmp_path, capsys):
     assert "error: series not converged" in capsys.readouterr().err
 
 
+def test_density_eval_rejects_a_zero_tol(tmp_path, capsys):
+    path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=1"])
+    assert main(["density-eval", path, "--set", "tol=0"]) == 2
+    assert "error: tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     # a typo in --set names the key and the command, exit 2
     rc = main(["chi", "--set", "radus=2"])

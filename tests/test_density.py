@@ -11,11 +11,12 @@ from math import factorial, prod
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ive
+from scipy.special import gammaln, ive
 
 import loctimes
 from loctimes.chain import RangeSpec, box_srw, validate_generator
 from loctimes.density import (
+    FD_TOL,
     CapacityError,
     ConvergenceError,
     SeriesEvaluator,
@@ -376,6 +377,15 @@ def test_density_finite_difference_two_state():
     assert abs(res.value - RHO_11) < 1e-6
 
 
+def test_finite_difference_reports_its_series_degree():
+    # from 0 to 1 the operator has order 0: both steps' stencils are the
+    # point itself, so the batch stops where theta alone does there
+    res = density_finite_difference(TWO_STATE, SPEC_AB, L_UNIT)
+    A = TWO_STATE.submatrix((0, 1))
+    assert set(res.meta) == {"step", "degree"}
+    assert res.meta["degree"] == _Series(A, [((), 1.0)], FD_TOL)._sum(np.ones((1, 2)))[2]
+
+
 def test_cross_evaluator_three_state():
     rng = np.random.default_rng(7)
     gen = random_generator(3, rng)
@@ -556,6 +566,114 @@ def test_batch_stopping_rule_is_pinned():
                   4.889881040878928e-18, 1.1866441013732623e-17]
     assert np.allclose(vals, ref_vals, rtol=1e-13, atol=0)
     assert np.allclose(bounds, ref_bounds, rtol=1e-14, atol=0)
+
+
+def closed_form_bounds(s, C, K):
+    """sum_m C_m T(s, K - m) at one degree K, with T(s, k) = min(e^s,
+    s^(k+1) / (k+1)! / (1 - s / (k+2))) for s < k + 2, and e^s for larger s
+    or k < 0: the closed form the stopping rule tests."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        es = np.exp(s)
+        T = []
+        for m in range(len(C)):
+            k = K - m
+            r = s / (k + 2)
+            closed = np.exp((k + 1) * np.log(s) - gammaln(k + 2)) / (1 - r)
+            T.append(es if k < 0 else np.where(r < 1, np.minimum(es, closed), es))
+    return np.einsum("mi,mi->i", C, np.array(T))
+
+
+def scan_stop(series, L):
+    """The stopping degree of ``series`` at the rows of ``L`` and the values
+    summed through it, by a linear scan over the degrees; None where no
+    degree up to MAX_DEGREE qualifies.  Each pass from K sums through the
+    first degree k > K at which every row's bound is within tol (|total| +
+    2 bound(K)), and the sum stops once every bound is within tol |total|."""
+    L = np.asarray(L, dtype=float)
+    s, C = series._majorant(L)
+    logL = np.log(L)
+    scale = np.stack([det * np.prod(0.5 / L[:, Q], axis=1) for Q, det in series.terms], axis=1)
+    total, K = np.zeros(len(L)), -1
+    while True:
+        reach = series.tol * (np.abs(total) + 2 * closed_form_bounds(s, C, K))
+        hi = next((k for k in range(K + 1, loctimes.density.MAX_DEGREE + 1)
+                   if np.all(closed_form_bounds(s, C, k) <= reach)), None)
+        if hi is None:
+            return None
+        total = total + series._pass_sum(logL, scale, K, hi)
+        if np.all(closed_form_bounds(s, C, hi) <= series.tol * np.abs(total)):
+            return hi, np.exp(L @ series.diag) * total
+        K = hi
+
+
+def stop_case(name):
+    """A series and the rows it is summed at, for
+    test_stopping_degree_matches_a_linear_scan."""
+    if name == "complex":
+        phases = np.exp(1j * np.random.default_rng(31).uniform(0, 6, (3, 3)))
+        L = 2.0 * np.random.default_rng(37).dirichlet(np.ones(3), 3)
+        return _Series(rates_on(complete(3), seed=29) * phases, [((), 1.0)], 1e-12), L
+    if name in ("two-state", "two-state-capped", "past-the-cap"):
+        l = (30.0, 30.0) if name == "past-the-cap" else (4.0, 6.0)
+        return SeriesEvaluator(TWO_STATE, SPEC_AB), np.array([l])
+    rows = {"one-row": [4080], "few-rows": [0, 910, 2275, 3640, 4095],
+            "row-blocks": slice(None, None, 41)}[name]
+    return SeriesEvaluator(*bench_chain(2)), simplex_grid(16)[rows]
+
+
+@pytest.mark.parametrize("tail_start", [1, 16])
+@pytest.mark.parametrize("name", ["one-row", "few-rows", "row-blocks", "complex", "two-state",
+                                  "two-state-capped", "past-the-cap"])
+def test_stopping_degree_matches_a_linear_scan(name, tail_start, monkeypatch):
+    # from a first table of one degree the search doubles through 2, 4, 8,
+    # ...; the two-state point needs degree 37, past a first table of 16,
+    # and is refused at a cap of 30; with PASS_BLOCK at 2^10 the first
+    # table of 16 degrees takes the 100 grid rows in six blocks of 16 or 17
+    monkeypatch.setattr("loctimes.density.TAIL_START", tail_start)
+    if name == "two-state-capped":
+        monkeypatch.setattr("loctimes.density.MAX_DEGREE", 30)
+    if name == "row-blocks":
+        monkeypatch.setattr("loctimes.density.PASS_BLOCK", 2 ** 10)
+    series, L = stop_case(name)
+    want = scan_stop(series, L)
+    if want is None:
+        cap = loctimes.density.MAX_DEGREE
+        with pytest.raises(ConvergenceError, match=f"series not converged at degree {cap}$"):
+            series._sum(L)
+        return
+    value, _, degree = series._sum(L)
+    assert degree == want[0]
+    assert np.array_equal(value, want[1])
+
+
+def test_coefficient_memo_serves_interleaved_rates(monkeypatch):
+    # two real rate matrices and a complex one on one support take turns on
+    # the table's one list of coefficients, at local times that raise the
+    # degree, so that a turn extends the list or replaces it; the last
+    # series is new and needs fewer degrees than the list holds.  Every
+    # value, bound and degree is that of a series on a table of its own
+    B1, B2 = rates_on(complete(3), seed=1), rates_on(complete(3), seed=2)
+    Bc = B1 * np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, (3, 3)))
+    rng = np.random.default_rng(5)
+    points = [scale * rng.dirichlet(np.ones(3), size=4) for scale in (0.5, 1.0, 2.0, 4.0)]
+    turns = [(B1, 0), (Bc, 0), (B1, 2), (B2, 1), (Bc, 3), (B2, 3), (B1, 3), (B1, 1), (B1, 0)]
+
+    def alone(B, L):
+        monkeypatch.setattr("loctimes.density._TABLES", {})
+        return _Series(B, [((), 1.0)], 1e-12)._sum(L)
+
+    want = [alone(B, points[i]) for B, i in turns]
+    monkeypatch.setattr("loctimes.density._TABLES", {})
+    series = {id(B): _Series(B, [((), 1.0)], 1e-12) for B in (B1, B2, Bc)}
+    series_of = [series[id(B)] for B, _ in turns[:-1]] + [_Series(B1, [((), 1.0)], 1e-12)]
+    degrees = []
+    for ev, (B, i), (value, bound, degree) in zip(series_of, turns, want):
+        got = ev._sum(points[i])
+        assert got[2] == degree
+        assert np.array_equal(got[0], value) and np.array_equal(got[1], bound)
+        degrees.append(degree)
+    assert len(loctimes.density._TABLES) == 1
+    assert len(set(degrees)) > 2 and degrees[-1] < len(series_of[-1].table.coef[1]) - 1
 
 
 def test_dispatcher_returns_result():
@@ -863,12 +981,27 @@ def test_quadrature_estimate_covers_rounding(l, tol):
     assert abs(res.value - ive(0, 2.0 * l)) <= res.error_estimate
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
 def test_quadrature_rejects_nonpositive_tol(tol):
-    # a tol <= 0 has no grid size; the sizing would take a nan node count
+    # a tol <= 0 or nan has no grid size, and at inf log(2 / tol) gave a nan
+    # grid cast to a garbage node count, on which the quadrature hung
     for fn in (density_quadrature, local_time_density):
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             fn(TWO_STATE, SPEC_AB, L_UNIT, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_series_rejects_a_tol_it_cannot_meet(tol):
+    # at 0, -1 and nan no degree met the rule, and the series raised a
+    # ConvergenceError at degree 80; at inf density_series returned 0.135
+    # here, with an error estimate of 0.865, for a density of 0.309
+    calls = [lambda: density_series(TWO_STATE, SPEC_AB, L_UNIT, tol=tol),
+             lambda: SeriesEvaluator(TWO_STATE, SPEC_AB, tol=tol),
+             lambda: theta_integral_series(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 1.0], tol=tol),
+             lambda: gauge_invariance_check(TWO_STATE, SPEC_AB, L_UNIT, [1.0, 2.0], tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call()
 
 
 @pytest.mark.parametrize("gen, spec, l", [
