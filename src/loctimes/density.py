@@ -64,6 +64,14 @@ def _check_tol(tol: float):
         raise ValueError("tol must be positive and finite")
 
 
+def _check_times(L: np.ndarray):
+    """Every local time must be positive and finite: at 0 or below its log
+    and derivative factor 1 / (2 l_x) are undefined, and at nan or inf no
+    degree meets the stopping rule."""
+    if not np.all((L > 0) & (L < np.inf)):
+        raise ValueError("all local times must be positive and finite")
+
+
 # ---------------------------------------------------------------------------
 # the monomial table
 
@@ -120,6 +128,12 @@ class _MonomialTable:
     on B has needed them.  The grid batch, the point evaluations and the
     finite differences of one chain so run one recurrence between them;
     a series on other rates replaces the list.
+
+    The table keeps, too, what a batch's pass needs beyond the rates:
+    ``splits`` holds per window of degrees and per tuple of derivative
+    site sets the folded split of its monomials (``split``), built the
+    first time a batch's cost rule takes it (``_Series._split``); a series
+    then scatters its coefficients into the split's cells per call.
     """
 
     def __init__(self, support: np.ndarray):
@@ -135,6 +149,7 @@ class _MonomialTable:
         self.targets = [np.zeros(0, dtype=np.int32)]
         self.kept = 1  # monomials plus triples
         self.coef = (None, [])
+        self.splits = {}  # (lo, hi, site sets) -> _Split, see ``split``
 
     def size(self, K: int) -> int:
         """The number of monomials of degree <= K."""
@@ -184,6 +199,66 @@ class _MonomialTable:
             self.d_fact = np.concatenate([self.d_fact,
                                           *(np.prod(factorial(layer), axis=1) for layer in new)])
 
+    def split(self, lo: int, hi: int, Qs: tuple) -> _Split | None:
+        """The monomials of degrees lo+1 .. hi, folded with the derivative
+        site sets ``Qs`` and split into a head, the first n // 2 sites, and
+        a tail; None where a half's key would pass one int64 word.  Built
+        once per (lo, hi, Qs) and kept in ``splits``.
+
+        d/dl_Q l^d = prod_{x in Q} d_x l^(d - 1_Q), zero unless d_x >= 1 on
+        Q, and l^e = l_head^e_head l_tail^e_tail.  Each half of d is a
+        packed key, d_x <= hi / 2 (a cover through x has two sites) in
+        ``bits`` bits per site, so the key of d - 1_Q is the key of d less
+        that of 1_Q.  The distinct keys, sorted, give the head and tail
+        exponents, and each kept (monomial, term) the cell (head index,
+        tail index) of its fold."""
+        r = self.n // 2
+        bits = max(1, (hi // 2).bit_length())
+        if (self.n - r) * bits > 63:
+            return None
+        key = (lo, hi, Qs)
+        if key not in self.splits:
+            m0, m1 = self.size(lo), self.size(hi)
+            shift = bits * np.concatenate([np.arange(r), np.arange(self.n - r)])
+            pack = np.left_shift(1, shift)
+            d = self.powers[m0:m1].astype(np.int64)
+            head, tail = d[:, :r] @ pack[:r], d[:, r:] @ pack[r:]
+            hk, tk, entry = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.intp)]
+            for j, Q in enumerate(Qs):
+                kept = np.flatnonzero(np.all(d[:, list(Q)] > 0, axis=1))
+                hk.append(head[kept] - pack[[x for x in Q if x < r]].sum())
+                tk.append(tail[kept] - pack[[x for x in Q if x >= r]].sum())
+                entry.append(kept * len(Qs) + j)
+            hk, tk = np.concatenate(hk), np.concatenate(tk)
+            H, T = np.unique(hk), np.unique(tk)
+            mask = (1 << bits) - 1
+            self.splits[key] = _Split(((H[:, None] >> shift[:r]) & mask).astype(float),
+                                      ((T[:, None] >> shift[r:]) & mask).astype(float),
+                                      np.searchsorted(H, hk) * len(T) + np.searchsorted(T, tk),
+                                      np.concatenate(entry))
+        return self.splits[key]
+
+
+@dataclass
+class _Split:
+    """A pass's monomials, folded with the derivatives and split into a
+    head and a tail (``_MonomialTable.split``): the distinct head and tail
+    exponents, per kept (monomial, term) the flat index of its cell among
+    the |head| x |tail| coefficients, and its flat index among the pass's
+    (monomial, term) weights."""
+    head: np.ndarray
+    tail: np.ndarray
+    cell: np.ndarray
+    entry: np.ndarray
+
+    def rows(self) -> int:
+        """The rows of a block: each buffer within ``PASS_BLOCK`` elements,
+        and the product with the coefficients under 4 ``PASS_BLOCK`` (2^19)
+        multiply-adds, below which OpenBLAS runs a GEMM on one thread; on a
+        2-vCPU host threaded GEMMs of this size at times stalled for 8 ms."""
+        H, T = len(self.head), len(self.tail)
+        return max(1, min(PASS_BLOCK // max(H, T, 1), (4 * PASS_BLOCK - 1) // max(H * T, 1)))
+
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of packed keys, sorted, and each row's index among
@@ -195,7 +270,13 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, index.ravel()
 
 
-PASS_BLOCK = 1 << 17  # elements of the monomial pass's buffer (1 MB of float64)
+PASS_BLOCK = 1 << 17  # elements of each of the pass's buffers (1 MB of float64)
+# the pass's cost model (``_Series._split``), in ns on a 2-vCPU host: per row
+# and monomial, and per term; per row, per head or tail exponent and per
+# cell; per call, and per (monomial, term) for the split's build and scatter
+_MONOMIAL_NS = (1.3, 0.14)
+_SPLIT_NS = (2.0, 0.03)
+_BUILD_NS = (60_000, 80)
 TAIL_START = 16  # degrees of a stopping search's first table of bounds
 _TABLES: dict[bytes, _MonomialTable] = {}
 
@@ -233,6 +314,12 @@ class _Series:
             _TABLES[key] = _MonomialTable(support)
         self.table = _TABLES[key]
         self.terms = terms
+        # per term its det and sites, padded with n, the column of ones in
+        # ``_pass_sum``'s factors 1 / (2 l_x)
+        width = max((len(Q) for Q, _ in terms), default=0)
+        self._dets = np.array([det for _, det in terms])
+        self._sites = np.array([list(Q) + [len(A)] * (width - len(Q)) for Q, _ in terms],
+                               dtype=np.intp).reshape(len(terms), width)
         self.tol = tol
         self._W, self._through = np.zeros((0, len(terms))), -1
 
@@ -272,29 +359,92 @@ class _Series:
             self._W, self._through = np.concatenate([self._W, W]), K
         return self._W
 
-    def _pass_sum(self, logL: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Per row of ``logL`` = log(L), the share of the degrees lo+1 .. hi
-        in the series, before the factor exp(diag . l).
+    def _pass_sum(self, L: np.ndarray, logL: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Per row of ``L``, with ``logL`` = log(L), the share of the
+        degrees lo+1 .. hi in the series, before the factor exp(diag . l).
 
-        The rows go through in blocks that fill one (rows, monomials)
-        buffer of ``PASS_BLOCK`` elements, reused by every block: the
-        buffer then stays in cache through its three passes (the powers,
-        their exp and the product with the weights), and a batch's working
-        memory does not grow with its degree."""
+        A batch that pays back the build (``_split``) sums rowdot(U @ Wm,
+        V) over the pass's folded split: U and V are exp of the rows' head
+        and tail logs times the split's head and tail exponents, and Wm
+        holds det_j a_d prod_{x in Q_j} d_x in the cell of d - 1_Q, scattered
+        by one ``bincount``, so a row takes |head| + |tail| ``exp`` and one
+        GEMM row.  Otherwise the pass takes one ``exp`` per monomial, the
+        product P @ W with the weights and the row's derivative factors
+        det_j prod_{x in Q_j} 1 / (2 l_x).
+
+        The rows go through in blocks whose buffers, reused by every block,
+        hold at most ``PASS_BLOCK`` elements each (``_Split.rows``): they
+        then stay in cache, and a batch's working memory does not grow
+        with its degree."""
         tab = self.table
         tab.extend(hi)
         m0, m1 = tab.size(lo), tab.size(hi)
-        W, powers = self._weights(hi)[m0:m1], tab.powers[m0:m1]
-        out = np.empty(len(logL), dtype=W.dtype)
-        chunk = max(1, PASS_BLOCK // max(len(powers), 1))
-        buf = np.empty((min(chunk, len(logL)), len(powers)))
-        for lo_row in range(0, len(logL), chunk):
-            rows = slice(lo_row, lo_row + chunk)
-            block = logL[rows]
-            P = np.matmul(block, powers.T, out=buf[: len(block)])
-            np.exp(P, out=P)
-            out[rows] = np.einsum("ij,ij->i", P @ W, scale[rows])
+        W = self._weights(hi)[m0:m1]
+        out = np.zeros(len(L), dtype=W.dtype)
+        split = self._split(len(L), lo, hi)
+        if split is None:
+            # per block: exp over the monomials' exponents at every site;
+            # a row's factors 1 / (2 l_x) take n + 1 elements, gathered J x |Q|
+            exps = [(slice(None), tab.powers[m0:m1])]
+            block_rows = max(1, PASS_BLOCK // max(m1 - m0, self._sites.size,
+                                                  len(self.terms), tab.n + 1))
+        else:
+            folded = np.array([det * 0.5 ** len(Q) for Q, det in self.terms])
+            w = (W * folded).ravel()[split.entry]
+            size = len(split.head) * len(split.tail)
+            Wm = np.bincount(split.cell, weights=w.real, minlength=size)
+            if np.iscomplexobj(w):
+                Wm = Wm + 1j * np.bincount(split.cell, weights=w.imag, minlength=size)
+            Wm = Wm.reshape(len(split.head), len(split.tail))
+            r = tab.n // 2
+            exps = [(slice(None, r), split.head), (slice(r, None), split.tail)]
+            block_rows = split.rows()
+        if not len(L) or not all(len(e) for _, e in exps):
+            return out
+        bufs = [np.empty((min(block_rows, len(L)), len(e))) for _, e in exps]
+        for start in range(0, len(L), block_rows):
+            rows = slice(start, start + block_rows)
+            n = min(block_rows, len(L) - start)
+            P = [np.exp(np.matmul(logL[rows, sites], e.T, out=buf[:n]), out=buf[:n])
+                 for (sites, e), buf in zip(exps, bufs)]
+            if split is None and self._sites.size:
+                half = np.ones((n, tab.n + 1))
+                np.divide(0.5, L[rows], out=half[:, :-1])
+                scale = self._dets * np.prod(half[:, self._sites], axis=2)
+                out[rows] = np.einsum("ij,ij->i", P[0] @ W, scale)
+            elif split is None:  # no derivatives
+                out[rows] = (P[0] @ W) @ self._dets
+            else:
+                out[rows] = np.einsum("ij,ij->i", P[0] @ Wm, P[1])
         return out
+
+    def _split(self, rows: int, lo: int, hi: int) -> _Split | None:
+        """The table's split of the pass lo+1 .. hi where summing ``rows``
+        rows through it costs less than through the monomials, else None.
+
+        The costs, in ns on a 2-vCPU host: through the monomials rows M
+        (1.3 + 0.14 J), M the pass's monomials and J the terms; through the
+        split 60,000 + 80 J M for its build and scatter, counted on every
+        call so that the form does not depend on what the table keeps, plus
+        rows (2 (|head| + |tail|) + 0.03 |head| |tail|).  The split is not
+        built unless the monomials cost more than its build, nor where its
+        J M index entries or its |head| |tail| coefficients would pass
+        ``PASS_BLOCK``: one point, the finite differences' stencils and
+        large tables take the monomials."""
+        tab = self.table
+        M, J = tab.size(hi) - tab.size(lo), len(self.terms)
+        monomials = rows * M * (_MONOMIAL_NS[0] + _MONOMIAL_NS[1] * J)
+        build = _BUILD_NS[0] + _BUILD_NS[1] * J * M
+        if monomials <= build or J * M > PASS_BLOCK:
+            return None
+        split = tab.split(lo, hi, tuple(tuple(Q) for Q, _ in self.terms))
+        if split is None:
+            return None
+        H, T = len(split.head), len(split.tail)
+        per_row = _SPLIT_NS[0] * (H + T) + _SPLIT_NS[1] * H * T
+        if H * T > PASS_BLOCK or monomials <= build + rows * per_row:
+            return None
+        return split
 
     def _majorant(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row, s and C_m = sum_j |det_j| sum_{|pi| = m} prod_{b in pi} d_b s,
@@ -339,10 +489,6 @@ class _Series:
         """
         L = np.asarray(L, dtype=float)
         logL, prefactor = np.log(L), np.exp(L @ self.diag)
-        # per row and term: det times the factors 1/(2 l_x) of the derivatives
-        scale = np.empty((len(L), len(self.terms)))
-        for j, (Q, det) in enumerate(self.terms):
-            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
         s, C = self._majorant(L)
         M = len(C) - 1
         m = np.arange(M + 1)[:, None]  # a column against the rows of s
@@ -389,7 +535,7 @@ class _Series:
 
         every = slice(None)
         if degree is not None:
-            return (prefactor * self._pass_sum(logL, scale, -1, degree),
+            return (prefactor * self._pass_sum(L, logL, -1, degree),
                     bound(degree, tails(every, degree, degree)[0]), degree)
         total, K, J = np.zeros(len(L)), -1, min(TAIL_START, MAX_DEGREE)
         while True:
@@ -407,7 +553,7 @@ class _Series:
                     raise ConvergenceError(f"series not converged at degree {MAX_DEGREE}")
                 J = min(2 * J, MAX_DEGREE)
             hi = K + 1 + int(np.argmax(within))
-            total = total + self._pass_sum(logL, scale, K, hi)
+            total = total + self._pass_sum(L, logL, K, hi)
             tail = tails(every, hi, hi)[0]
             # written so that a nan bound (overflowed tail) does not stop
             if np.all(tail <= self.tol * np.abs(total)):
@@ -427,8 +573,7 @@ class _Series:
         L = np.asarray(L, dtype=float)
         if L.ndim != 2 or L.shape[1] != len(self.diag):
             raise ValueError(f"expected rows of {len(self.diag)} local times, got shape {L.shape}")
-        if not np.all((L > 0) & (L < np.inf)):
-            raise ValueError("all local times must be positive and finite")
+        _check_times(L)
         return self._sum(L)[:2]
 
 
@@ -439,11 +584,14 @@ def theta_integral_series(B_tilde, l, tol: float = 1e-12):
     Diagonal entries contribute a plain exponential factor and are split off
     first.  Works for real or complex matrices.  Returns ``(value,
     tail_bound)``, summed until the bound is at most ``tol`` times the value.
+    Raises ``ValueError`` unless ``l`` is 1-D with one positive, finite
+    local time per row of ``B_tilde``.
     """
     B = np.asarray(B_tilde)
     l = np.asarray(l, dtype=float)
     if l.ndim != 1 or B.shape != (len(l), len(l)):
         raise ValueError("B_tilde must be square and match l")
+    _check_times(l)
     return _Series(B, [((), 1.0)], tol).value(l)
 
 
@@ -708,10 +856,11 @@ def gauge_invariance_check(gen: Generator, spec: RangeSpec, l, r, tol: float = 1
     Every monomial's coefficient, and each det(B_SS) it is computed from,
     is invariant under the conjugation, so the two truncations agree
     termwise and the deviation measures rounding, not truncation, at any
-    tolerance."""
+    tolerance.  Raises ``ValueError`` unless ``r`` holds one positive,
+    finite entry per range site."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radius vector must be strictly positive")
+    if r.shape != (spec.size,) or not np.all((r > 0) & (r < np.inf)):
+        raise ValueError(f"radius vector must hold {spec.size} positive, finite entries")
     L = as_times(spec, l)[None, :]
     base = SeriesEvaluator(gen, spec, tol=tol)
     K = base._sum(L)[2]

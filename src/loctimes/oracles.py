@@ -293,8 +293,14 @@ def simplex_integrate(
     midpoint rule over nested square-root-substituted coordinates (the
     substitution absorbs the inverse-square-root boundary behavior of the
     densities); the error estimate compares against the half-resolution
-    rule.  MC mode samples the simplex uniformly.
+    rule, so ``resolution`` must be at least 4 (a coarser rule of at least
+    2 points a side).  MC mode samples the simplex uniformly, at least 2
+    samples for its standard error.  Raises ``ValueError`` otherwise.
     """
+    if mode == "grid" and not resolution >= 4:
+        raise ValueError(f"grid resolution must be at least 4, got {resolution}")
+    if mode == "mc" and not n_samples >= 2:
+        raise ValueError(f"need at least 2 Monte Carlo samples, got {n_samples}")
     m = chart.dim
     T = chart.horizon
     if m == 0:
@@ -314,7 +320,7 @@ def simplex_integrate(
         raise ValueError(f"unknown mode {mode!r}")
     if m > 3:
         raise ValueError("grid mode supports ranges of size up to 4; use mode='mc'")
-    coarse = _grid_pass(f, chart, max(resolution // 2, 2))
+    coarse = _grid_pass(f, chart, resolution // 2)
     fine = _grid_pass(f, chart, resolution)
     return IntegralResult(fine, abs(fine - coarse), resolution ** m, "grid")
 

@@ -206,6 +206,18 @@ def test_density_eval_rejects_a_zero_tol(tmp_path, capsys):
     assert "error: tol must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolution", ["2", "1", "0", "-4"])
+def test_grid_resolution_below_4_exits_2(tmp_path, capsys, resolution):
+    # at 2 the coarse rule was the fine one and the error estimate 0; at 0
+    # the integral printed nan; every one exited 0
+    path = write_cfg(tmp_path, TWO_STATE_CFG)
+    assert main(["marginal-check", path, "--set", f"resolution={resolution}"]) == 2
+    assert "error: grid resolution must be at least 4" in capsys.readouterr().err
+    assert main(["mc-validate", path, "--set", f"resolution={resolution}",
+                 "--set", "paths=100"]) == 2
+    assert "error: grid resolution must be at least 4" in capsys.readouterr().err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     # a typo in --set names the key and the command, exit 2
     rc = main(["chi", "--set", "radus=2"])

@@ -352,6 +352,17 @@ def test_theta_series_bessel():
     assert abs(value - I0_2) < 1e-10
 
 
+@pytest.mark.parametrize("l", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0)],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_theta_series_rejects_bad_times(l):
+    # rejected before any work: log and sqrt would warn, and the series
+    # then raise a ConvergenceError at degree 80
+    with pytest.raises(ValueError, match="all local times must be positive and finite"):
+        theta_integral_series(np.array([[0.0, 1.0], [1.0, 0.0]]), l)
+    with pytest.raises(ValueError, match="match l"):
+        theta_integral_series(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((1, 2)))
+
+
 def test_density_series_two_state_closed_forms():
     res = density_series(TWO_STATE, SPEC_AA, L_UNIT)
     assert abs(res.value - RHO_11) < 1e-10
@@ -409,6 +420,18 @@ def test_gauge_invariance():
         r = np.exp(rng.normal(size=3))
         dev = gauge_invariance_check(gen, spec, l, r)
         assert dev < 1e-10
+
+
+@pytest.mark.parametrize("r", [(1.0, np.nan, 1.0), (1.0, np.inf, 1.0), (1.0, 0.0, 1.0),
+                               (1.0, 1.0), (1.0, 1.0, 1.0, 1.0)],
+                         ids=["nan", "inf", "zero", "short", "long"])
+def test_gauge_check_rejects_bad_radii(r):
+    # a nan or inf radius returned nan with warnings, a wrong length a
+    # numpy broadcast error
+    spec = RangeSpec((0, 1, 2), 0, 2)
+    with pytest.raises(ValueError, match="3 positive, finite entries"):
+        gauge_invariance_check(random_generator(3, np.random.default_rng(11)), spec,
+                               [0.2, 0.5, 0.3], r)
 
 
 def test_derivative_expansion_order_bound():
@@ -530,15 +553,17 @@ def test_point_evaluators_reject_non_finite_times(fn, l):
 
 
 def test_batch_blocks_match_rows_one_at_a_time():
-    # 587 grid rows, the one nearest the boundary (min l = 3.7e-6) among
-    # them: over the 812 monomials of degree 12 a block holds 161 rows, so
-    # the batch spans four blocks and its last is ragged
+    # 820 grid rows, the one nearest the boundary (min l = 3.7e-6) among
+    # them, summed through degree 12 by the split: its 49 x 49 coefficients
+    # take 218 rows a block, so the batch spans four blocks and its last is
+    # ragged; a lone row goes through the monomials
     ev = SeriesEvaluator(*bench_chain(2))
     G = simplex_grid(16)
-    L = np.concatenate([G[::7], G[G.min(axis=1) < 1e-5]])
+    L = np.concatenate([G[::5], G[G.min(axis=1) < 1e-5]])
     vals, bounds = ev.values(L)
     K = ev._sum(L)[2]
-    rows = PASS_BLOCK // ev.table.size(K)
+    assert ev._split(1, -1, K) is None
+    rows = ev._split(len(L), -1, K).rows()
     assert len(L) > 3 * rows and len(L) % rows
     one_pass = ev._sum(L, degree=K)[:2]
     for i, row in enumerate(L):
@@ -546,6 +571,106 @@ def test_batch_blocks_match_rows_one_at_a_time():
         for batch_v, batch_b in (vals, bounds), one_pass:
             assert abs(batch_v[i] - v[0]) <= 1e-13 * abs(v[0])
             assert abs(batch_b[i] - b[0]) <= 1e-13 * b[0]
+
+
+def reference_pass(series, L, lo, hi):
+    """sum_j det_j sum_d a_d prod_{x in Q_j} 2 d_x l^d prod_{x in Q_j} 0.5 / l_x
+    over the monomials l^d of degrees lo+1 .. hi, from the table's powers
+    and the series' ``_weights``, term by term, and the same sum of the
+    terms' moduli, the scale of its rounding."""
+    tab = series.table
+    tab.extend(hi)
+    m0, m1 = tab.size(lo), tab.size(hi)
+    W = series._weights(hi)[m0:m1]
+    monomials = np.prod(L[:, None, :] ** tab.powers[None, m0:m1], axis=2)
+    total, moduli = np.zeros(len(L), dtype=W.dtype), np.zeros(len(L))
+    for j, (Q, det) in enumerate(series.terms):
+        factor = det * np.prod(0.5 / L[:, list(Q)], axis=1)
+        total += factor * (monomials @ W[:, j])
+        moduli += np.abs(factor) * (monomials @ np.abs(W[:, j]))
+    return total, moduli
+
+
+def pass_case(name):
+    """A series, the rows of one pass and the form its cost rule takes."""
+    G = simplex_grid(16)
+    if name == "grid":
+        return SeriesEvaluator(*bench_chain(2)), G[::7], "split"
+    if name == "one-row":
+        return SeriesEvaluator(*bench_chain(2)), G[[4080]], "monomials"
+    if name == "a=b":
+        gen, _ = bench_chain(3)
+        return SeriesEvaluator(gen, RangeSpec((0, 1, 2, 3), 0, 0)), G[::7], "split"
+    if name == "complex":
+        phases = np.exp(1j * np.random.default_rng(31).uniform(0, 6, (3, 3)))
+        L = 2.0 * np.random.default_rng(37).dirichlet(np.ones(3), 2000)
+        return _Series(rates_on(complete(3), seed=29) * phases, [((), 1.0)], 1e-12), L, "split"
+    if name == "acyclic":
+        B = np.triu(np.random.default_rng(59).uniform(0.1, 0.8, (4, 4)), 1)
+        L = np.random.default_rng(61).dirichlet(np.ones(4), 3000)
+        return _Series(B, [((), 1.0), ((1,), 0.5), ((0, 2), -2.0)], 1e-12), L, "monomials"
+    return SeriesEvaluator(*bench_chain(2)), np.ones((0, 4)), "monomials"  # zero rows
+
+
+@pytest.mark.parametrize("form", ["chosen", "split", "monomials"])
+@pytest.mark.parametrize("name", ["grid", "one-row", "a=b", "complex", "acyclic", "zero-rows"])
+def test_pass_matches_a_reference_sum(name, form, monkeypatch):
+    # each pass, in the form its cost rule chooses and forced into either,
+    # against the plain sum over the monomials, to 1e-13 of the sum of its
+    # terms' moduli (at a = b the sum through degree 12 falls to 3e-4 of
+    # it); the acyclic support has only l^0, which the derivative terms
+    # fold away, and no monomial past degree 0
+    series, L, chosen = pass_case(name)
+    series.table.extend(14)
+    assert (series._split(len(L), -1, 12) is None) == (chosen == "monomials")
+    Qs = tuple(tuple(Q) for Q, _ in series.terms)
+    if form == "split":
+        monkeypatch.setattr(series, "_split", lambda rows, lo, hi: series.table.split(lo, hi, Qs))
+    if form == "monomials":
+        monkeypatch.setattr(series, "_split", lambda rows, lo, hi: None)
+    for lo, hi in [(-1, 12), (8, 12), (12, 14), (-1, 0), (0, 4)]:
+        got = series._pass_sum(L, np.log(L), lo, hi)
+        want, moduli = reference_pass(series, L, lo, hi)
+        assert got.shape == (len(L),) and got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 1e-13 * moduli), (lo, hi)
+
+
+def test_two_state_odd_degrees_have_no_monomials(monkeypatch):
+    ev = SeriesEvaluator(TWO_STATE, SPEC_AB)
+    Qs = tuple(tuple(Q) for Q, _ in ev.terms)
+    monkeypatch.setattr(ev, "_split", lambda rows, lo, hi: ev.table.split(lo, hi, Qs))
+    L = np.random.default_rng(67).uniform(0.5, 1.5, (50, 2))
+    ev.table.extend(9)
+    for lo, hi in [(0, 1), (2, 3), (8, 9)]:
+        assert ev.table.size(hi) == ev.table.size(lo)
+        assert np.array_equal(ev._pass_sum(L, np.log(L), lo, hi), np.zeros(50))
+    assert np.allclose(ev._pass_sum(L, np.log(L), -1, 2), reference_pass(ev, L, -1, 2)[0],
+                       rtol=1e-13, atol=0)
+
+
+def test_zero_rows_give_empty_arrays():
+    ev = SeriesEvaluator(*bench_chain(2))
+    vals, bounds = ev.values(np.ones((0, 4)))
+    assert vals.shape == bounds.shape == (0,)
+
+
+def test_point_calls_build_no_split(monkeypatch):
+    # a lone row cannot pay back the split's build, so a chain's point
+    # evaluations leave the table's splits as they were; a grid batch
+    # builds one per pass and reuses it
+    monkeypatch.setattr("loctimes.density._TABLES", {})
+    gen, spec = bench_chain(2)
+    for l in simplex_grid(4)[::9]:
+        density_series(gen, spec, l)
+        density_finite_difference(gen, spec, l)
+    tab = SeriesEvaluator(gen, spec).table
+    assert tab.splits == {}
+    ev = SeriesEvaluator(gen, spec)
+    ev.values(simplex_grid(16))
+    built = dict(tab.splits)
+    assert built and all(split is not None for split in built.values())
+    ev.values(simplex_grid(16)[::-1])
+    assert all(tab.splits[key] is split for key, split in built.items())
 
 
 def test_batch_stopping_rule_is_pinned():
@@ -592,7 +717,6 @@ def scan_stop(series, L):
     L = np.asarray(L, dtype=float)
     s, C = series._majorant(L)
     logL = np.log(L)
-    scale = np.stack([det * np.prod(0.5 / L[:, Q], axis=1) for Q, det in series.terms], axis=1)
     total, K = np.zeros(len(L)), -1
     while True:
         reach = series.tol * (np.abs(total) + 2 * closed_form_bounds(s, C, K))
@@ -600,7 +724,7 @@ def scan_stop(series, L):
                    if np.all(closed_form_bounds(s, C, k) <= reach)), None)
         if hi is None:
             return None
-        total = total + series._pass_sum(logL, scale, K, hi)
+        total = total + series._pass_sum(L, logL, K, hi)
         if np.all(closed_form_bounds(s, C, hi) <= series.tol * np.abs(total)):
             return hi, np.exp(L @ series.diag) * total
         K = hi

@@ -233,3 +233,19 @@ def test_mc_mode_volume():
     chart = SimplexChart(spec, horizon=1.0)
     res = simplex_integrate(lambda L: np.ones(len(L)), chart, mode="mc", seed=2)
     assert abs(res.value - 1.0 / 6.0) < 1e-12
+
+
+@pytest.mark.parametrize("resolution", [3, 2, 1, 0, -4])
+def test_grid_resolution_below_4_rejected(resolution):
+    # the error estimate compares with the rule at resolution // 2, which
+    # below 4 is not a coarser rule of at least 2 points a side
+    chart = SimplexChart(RangeSpec((0, 1), 0, 1), horizon=1.0)
+    with pytest.raises(ValueError, match="grid resolution must be at least 4"):
+        simplex_integrate(lambda L: np.ones(len(L)), chart, resolution=resolution)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_mc_samples_below_2_rejected(n_samples):
+    chart = SimplexChart(RangeSpec((0, 1, 2), 0, 2), horizon=1.0)
+    with pytest.raises(ValueError, match="at least 2 Monte Carlo samples"):
+        simplex_integrate(lambda L: np.ones(len(L)), chart, mode="mc", n_samples=n_samples)
