@@ -132,8 +132,9 @@ class _MonomialTable:
     The table keeps, too, what a batch's pass needs beyond the rates:
     ``splits`` holds per window of degrees and per tuple of derivative
     site sets the folded split of its monomials (``split``), built the
-    first time a batch's cost rule takes it (``_Series._split``); a series
-    then scatters its coefficients into the split's cells per call.
+    first time a batch's cost rule takes it (``_Series._split``) and kept
+    while it is among the last ``SPLITS_KEPT`` used; a series then
+    scatters its coefficients into the split's cells per call.
     """
 
     def __init__(self, support: np.ndarray):
@@ -149,7 +150,7 @@ class _MonomialTable:
         self.targets = [np.zeros(0, dtype=np.int32)]
         self.kept = 1  # monomials plus triples
         self.coef = (None, [])
-        self.splits = {}  # (lo, hi, site sets) -> _Split, see ``split``
+        self.splits = {}  # (lo, hi, site sets) -> _Split, last used last
 
     def size(self, K: int) -> int:
         """The number of monomials of degree <= K."""
@@ -202,8 +203,10 @@ class _MonomialTable:
     def split(self, lo: int, hi: int, Qs: tuple) -> _Split | None:
         """The monomials of degrees lo+1 .. hi, folded with the derivative
         site sets ``Qs`` and split into a head, the first n // 2 sites, and
-        a tail; None where a half's key would pass one int64 word.  Built
-        once per (lo, hi, Qs) and kept in ``splits``.
+        a tail; None where a half's key would pass one int64 word or the
+        |head| x |tail| coefficients ``PASS_BLOCK``.  Built once per (lo,
+        hi, Qs) and kept in ``splits``, which holds the last
+        ``SPLITS_KEPT`` used (a None as None, without its arrays).
 
         d/dl_Q l^d = prod_{x in Q} d_x l^(d - 1_Q), zero unless d_x >= 1 on
         Q, and l^e = l_head^e_head l_tail^e_tail.  Each half of d is a
@@ -217,7 +220,11 @@ class _MonomialTable:
         if (self.n - r) * bits > 63:
             return None
         key = (lo, hi, Qs)
-        if key not in self.splits:
+        if key in self.splits:
+            self.splits[key] = self.splits.pop(key)  # now the last used
+        else:
+            if len(self.splits) == SPLITS_KEPT:
+                del self.splits[next(iter(self.splits))]
             m0, m1 = self.size(lo), self.size(hi)
             shift = bits * np.concatenate([np.arange(r), np.arange(self.n - r)])
             pack = np.left_shift(1, shift)
@@ -232,10 +239,12 @@ class _MonomialTable:
             hk, tk = np.concatenate(hk), np.concatenate(tk)
             H, T = np.unique(hk), np.unique(tk)
             mask = (1 << bits) - 1
-            self.splits[key] = _Split(((H[:, None] >> shift[:r]) & mask).astype(float),
-                                      ((T[:, None] >> shift[r:]) & mask).astype(float),
-                                      np.searchsorted(H, hk) * len(T) + np.searchsorted(T, tk),
-                                      np.concatenate(entry))
+            self.splits[key] = None
+            if len(H) * len(T) <= PASS_BLOCK:
+                self.splits[key] = _Split(((H[:, None] >> shift[:r]) & mask).astype(float),
+                                          ((T[:, None] >> shift[r:]) & mask).astype(float),
+                                          np.searchsorted(H, hk) * len(T) + np.searchsorted(T, tk),
+                                          np.concatenate(entry))
         return self.splits[key]
 
 
@@ -271,6 +280,7 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 PASS_BLOCK = 1 << 17  # elements of each of the pass's buffers (1 MB of float64)
+SPLITS_KEPT = 8  # per table; a grid call's two batches use two windows each
 # the pass's cost model (``_Series._split``), in ns on a 2-vCPU host: per row
 # and monomial, and per term; per row, per head or tail exponent and per
 # cell; per call, and per (monomial, term) for the split's build and scatter
@@ -314,12 +324,6 @@ class _Series:
             _TABLES[key] = _MonomialTable(support)
         self.table = _TABLES[key]
         self.terms = terms
-        # per term its det and sites, padded with n, the column of ones in
-        # ``_pass_sum``'s factors 1 / (2 l_x)
-        width = max((len(Q) for Q, _ in terms), default=0)
-        self._dets = np.array([det for _, det in terms])
-        self._sites = np.array([list(Q) + [len(A)] * (width - len(Q)) for Q, _ in terms],
-                               dtype=np.intp).reshape(len(terms), width)
         self.tol = tol
         self._W, self._through = np.zeros((0, len(terms))), -1
 
@@ -359,9 +363,11 @@ class _Series:
             self._W, self._through = np.concatenate([self._W, W]), K
         return self._W
 
-    def _pass_sum(self, L: np.ndarray, logL: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Per row of ``L``, with ``logL`` = log(L), the share of the
-        degrees lo+1 .. hi in the series, before the factor exp(diag . l).
+    def _pass_sum(self, logL: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Per row of ``logL`` = log(L), the share of the degrees lo+1 .. hi
+        in the series, before the factor exp(diag . l); ``scale`` holds per
+        row and term det_j prod_{x in Q_j} 1 / (2 l_x), which only the
+        monomial form reads.
 
         A batch that pays back the build (``_split``) sums rowdot(U @ Wm,
         V) over the pass's folded split: U and V are exp of the rows' head
@@ -369,8 +375,7 @@ class _Series:
         holds det_j a_d prod_{x in Q_j} d_x in the cell of d - 1_Q, scattered
         by one ``bincount``, so a row takes |head| + |tail| ``exp`` and one
         GEMM row.  Otherwise the pass takes one ``exp`` per monomial, the
-        product P @ W with the weights and the row's derivative factors
-        det_j prod_{x in Q_j} 1 / (2 l_x).
+        product P @ W with the weights and the row's ``scale``.
 
         The rows go through in blocks whose buffers, reused by every block,
         hold at most ``PASS_BLOCK`` elements each (``_Split.rows``): they
@@ -380,14 +385,12 @@ class _Series:
         tab.extend(hi)
         m0, m1 = tab.size(lo), tab.size(hi)
         W = self._weights(hi)[m0:m1]
-        out = np.zeros(len(L), dtype=W.dtype)
-        split = self._split(len(L), lo, hi)
+        out = np.zeros(len(logL), dtype=W.dtype)
+        split = self._split(len(logL), lo, hi)
         if split is None:
-            # per block: exp over the monomials' exponents at every site;
-            # a row's factors 1 / (2 l_x) take n + 1 elements, gathered J x |Q|
+            # per block: exp over the monomials' exponents at every site
             exps = [(slice(None), tab.powers[m0:m1])]
-            block_rows = max(1, PASS_BLOCK // max(m1 - m0, self._sites.size,
-                                                  len(self.terms), tab.n + 1))
+            block_rows = max(1, PASS_BLOCK // max(m1 - m0, len(self.terms)))
         else:
             folded = np.array([det * 0.5 ** len(Q) for Q, det in self.terms])
             w = (W * folded).ravel()[split.entry]
@@ -399,21 +402,16 @@ class _Series:
             r = tab.n // 2
             exps = [(slice(None, r), split.head), (slice(r, None), split.tail)]
             block_rows = split.rows()
-        if not len(L) or not all(len(e) for _, e in exps):
+        if not len(logL) or not all(len(e) for _, e in exps):
             return out
-        bufs = [np.empty((min(block_rows, len(L)), len(e))) for _, e in exps]
-        for start in range(0, len(L), block_rows):
+        bufs = [np.empty((min(block_rows, len(logL)), len(e))) for _, e in exps]
+        for start in range(0, len(logL), block_rows):
             rows = slice(start, start + block_rows)
-            n = min(block_rows, len(L) - start)
+            n = min(block_rows, len(logL) - start)
             P = [np.exp(np.matmul(logL[rows, sites], e.T, out=buf[:n]), out=buf[:n])
                  for (sites, e), buf in zip(exps, bufs)]
-            if split is None and self._sites.size:
-                half = np.ones((n, tab.n + 1))
-                np.divide(0.5, L[rows], out=half[:, :-1])
-                scale = self._dets * np.prod(half[:, self._sites], axis=2)
-                out[rows] = np.einsum("ij,ij->i", P[0] @ W, scale)
-            elif split is None:  # no derivatives
-                out[rows] = (P[0] @ W) @ self._dets
+            if split is None:
+                out[rows] = np.einsum("ij,ij->i", P[0] @ W, scale[rows])
             else:
                 out[rows] = np.einsum("ij,ij->i", P[0] @ Wm, P[1])
         return out
@@ -428,9 +426,9 @@ class _Series:
         call so that the form does not depend on what the table keeps, plus
         rows (2 (|head| + |tail|) + 0.03 |head| |tail|).  The split is not
         built unless the monomials cost more than its build, nor where its
-        J M index entries or its |head| |tail| coefficients would pass
-        ``PASS_BLOCK``: one point, the finite differences' stencils and
-        large tables take the monomials."""
+        J M index entries would pass ``PASS_BLOCK``, nor used where its
+        |head| |tail| coefficients would: one point, the finite
+        differences' stencils and large tables take the monomials."""
         tab = self.table
         M, J = tab.size(hi) - tab.size(lo), len(self.terms)
         monomials = rows * M * (_MONOMIAL_NS[0] + _MONOMIAL_NS[1] * J)
@@ -442,7 +440,7 @@ class _Series:
             return None
         H, T = len(split.head), len(split.tail)
         per_row = _SPLIT_NS[0] * (H + T) + _SPLIT_NS[1] * H * T
-        if H * T > PASS_BLOCK or monomials <= build + rows * per_row:
+        if monomials <= build + rows * per_row:
             return None
         return split
 
@@ -489,6 +487,10 @@ class _Series:
         """
         L = np.asarray(L, dtype=float)
         logL, prefactor = np.log(L), np.exp(L @ self.diag)
+        # per row and term: det times the factors 1/(2 l_x) of the derivatives
+        scale = np.empty((len(L), len(self.terms)))
+        for j, (Q, det) in enumerate(self.terms):
+            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
         s, C = self._majorant(L)
         M = len(C) - 1
         m = np.arange(M + 1)[:, None]  # a column against the rows of s
@@ -535,7 +537,7 @@ class _Series:
 
         every = slice(None)
         if degree is not None:
-            return (prefactor * self._pass_sum(L, logL, -1, degree),
+            return (prefactor * self._pass_sum(logL, scale, -1, degree),
                     bound(degree, tails(every, degree, degree)[0]), degree)
         total, K, J = np.zeros(len(L)), -1, min(TAIL_START, MAX_DEGREE)
         while True:
@@ -553,7 +555,7 @@ class _Series:
                     raise ConvergenceError(f"series not converged at degree {MAX_DEGREE}")
                 J = min(2 * J, MAX_DEGREE)
             hi = K + 1 + int(np.argmax(within))
-            total = total + self._pass_sum(L, logL, K, hi)
+            total = total + self._pass_sum(logL, scale, K, hi)
             tail = tails(every, hi, hi)[0]
             # written so that a nan bound (overflowed tail) does not stop
             if np.all(tail <= self.tol * np.abs(total)):

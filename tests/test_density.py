@@ -32,6 +32,7 @@ from loctimes.density import (
     _MonomialTable,
     _TABLES,
     PASS_BLOCK,
+    SPLITS_KEPT,
     _quadrature_grid,
     _quadrature_integrand,
     _refine,
@@ -573,6 +574,13 @@ def test_batch_blocks_match_rows_one_at_a_time():
             assert abs(batch_b[i] - b[0]) <= 1e-13 * b[0]
 
 
+def pass_sum(series, L, lo, hi):
+    """``series._pass_sum`` over the degrees lo+1 .. hi at the rows of ``L``,
+    with the per-row factors det_j prod_{x in Q_j} 0.5 / l_x of ``_sum``."""
+    scale = np.stack([det * np.prod(0.5 / L[:, Q], axis=1) for Q, det in series.terms], axis=1)
+    return series._pass_sum(np.log(L), scale, lo, hi)
+
+
 def reference_pass(series, L, lo, hi):
     """sum_j det_j sum_d a_d prod_{x in Q_j} 2 d_x l^d prod_{x in Q_j} 0.5 / l_x
     over the monomials l^d of degrees lo+1 .. hi, from the table's powers
@@ -629,7 +637,7 @@ def test_pass_matches_a_reference_sum(name, form, monkeypatch):
     if form == "monomials":
         monkeypatch.setattr(series, "_split", lambda rows, lo, hi: None)
     for lo, hi in [(-1, 12), (8, 12), (12, 14), (-1, 0), (0, 4)]:
-        got = series._pass_sum(L, np.log(L), lo, hi)
+        got = pass_sum(series, L, lo, hi)
         want, moduli = reference_pass(series, L, lo, hi)
         assert got.shape == (len(L),) and got.dtype == want.dtype
         assert np.all(np.abs(got - want) <= 1e-13 * moduli), (lo, hi)
@@ -643,8 +651,8 @@ def test_two_state_odd_degrees_have_no_monomials(monkeypatch):
     ev.table.extend(9)
     for lo, hi in [(0, 1), (2, 3), (8, 9)]:
         assert ev.table.size(hi) == ev.table.size(lo)
-        assert np.array_equal(ev._pass_sum(L, np.log(L), lo, hi), np.zeros(50))
-    assert np.allclose(ev._pass_sum(L, np.log(L), -1, 2), reference_pass(ev, L, -1, 2)[0],
+        assert np.array_equal(pass_sum(ev, L, lo, hi), np.zeros(50))
+    assert np.allclose(pass_sum(ev, L, -1, 2), reference_pass(ev, L, -1, 2)[0],
                        rtol=1e-13, atol=0)
 
 
@@ -671,6 +679,26 @@ def test_point_calls_build_no_split(monkeypatch):
     assert built and all(split is not None for split in built.values())
     ev.values(simplex_grid(16)[::-1])
     assert all(tab.splits[key] is split for key, split in built.items())
+
+
+def test_table_keeps_the_last_splits_used(monkeypatch):
+    # the splits memo holds the last SPLITS_KEPT windows used, a hit moving
+    # its window to the end; a split whose coefficients pass PASS_BLOCK is
+    # kept as None, without its index arrays
+    tab = SeriesEvaluator(*bench_chain(2)).table
+    tab.extend(14)
+    monkeypatch.setattr(tab, "splits", {})
+    Qs = ((), (0,))
+    first = tab.split(-1, 2, Qs)
+    for hi in range(3, SPLITS_KEPT + 2):
+        tab.split(-1, hi, Qs)
+    assert first is not None and tab.split(-1, 2, Qs) is first
+    tab.split(-1, SPLITS_KEPT + 2, Qs)
+    assert len(tab.splits) == SPLITS_KEPT
+    assert (-1, 3, Qs) not in tab.splits and tab.splits[(-1, 2, Qs)] is first
+    monkeypatch.setattr("loctimes.density.PASS_BLOCK", 100)
+    assert tab.split(8, 14, Qs) is None and tab.splits[(8, 14, Qs)] is None
+    assert len(tab.splits) == SPLITS_KEPT
 
 
 def test_batch_stopping_rule_is_pinned():
@@ -717,6 +745,7 @@ def scan_stop(series, L):
     L = np.asarray(L, dtype=float)
     s, C = series._majorant(L)
     logL = np.log(L)
+    scale = np.stack([det * np.prod(0.5 / L[:, Q], axis=1) for Q, det in series.terms], axis=1)
     total, K = np.zeros(len(L)), -1
     while True:
         reach = series.tol * (np.abs(total) + 2 * closed_form_bounds(s, C, K))
@@ -724,7 +753,7 @@ def scan_stop(series, L):
                    if np.all(closed_form_bounds(s, C, k) <= reach)), None)
         if hi is None:
             return None
-        total = total + series._pass_sum(L, logL, K, hi)
+        total = total + series._pass_sum(logL, scale, K, hi)
         if np.all(closed_form_bounds(s, C, hi) <= series.tol * np.abs(total)):
             return hi, np.exp(L @ series.diag) * total
         K = hi
