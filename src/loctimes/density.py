@@ -50,7 +50,8 @@ FD_TOL = 1e-10  # relative tolerance of the finite differences' series
 
 
 class ConvergenceError(RuntimeError):
-    """Series or quadrature failed to reach the requested tolerance."""
+    """Series, quadrature or the rate function's Newton descent failed to
+    reach the requested tolerance."""
 
 
 class CapacityError(RuntimeError):

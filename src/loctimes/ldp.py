@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .chain import Generator, RangeSpec, as_times, jump_rate_bound
+from .density import ConvergenceError
 
 __all__ = [
     "TiltFunction",
@@ -33,9 +34,12 @@ __all__ = [
 ]
 
 SYMMETRY_ATOL = 1e-12
-# L-BFGS-B gradient tolerance of the rate-function, deviation-bound and chi solves
+# L-BFGS-B gradient tolerance of the deviation-bound and chi solves
 GTOL = 1e-10
 RATE_RESTARTS = 4  # starts of the rate-function solve
+_NEWTON_STEPS = 100  # cap on the Newton steps of one rate-function start
+_NEWTON_RTOL = 1e-15  # its stopping decrement, relative to the objective's terms
+_LOG_TILT_LIMIT = 700.0  # |log tilt| bound that keeps e^u a normal double
 
 
 @dataclass(frozen=True)
@@ -95,16 +99,63 @@ def rate_function_symmetric(gen: Generator, mu, sites=None) -> float:
     return float(root @ (-A) @ root)
 
 
+def _newton_log_tilt(a, B, u, scale):
+    """Damped Newton descent of sum_k a_k e^{(B u)_k} from u, with the exact
+    Hessian B^T diag(a e^{Bu}) B, its minimum-norm step and Armijo
+    backtracking.  Stops after the step whose Newton decrement is at
+    rounding level, ``_NEWTON_RTOL`` times ``scale`` plus the sum, which
+    leaves the gradient at rounding level too; or before a step that takes
+    an entry of u past ``_LOG_TILT_LIMIT``, where e^u would leave the normal
+    doubles.  Returns the final terms and u.  ``ConvergenceError`` past
+    ``_NEWTON_STEPS`` steps."""
+    x = B @ u
+    E = a * np.exp(x)
+    # an overlong trial step reads as an infinite or nan decrease and is halved
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            g = E @ B
+            step = np.linalg.lstsq((B.T * E) @ B, -g, rcond=None)[0]
+            decrement = -float(g @ step)
+            done = decrement <= _NEWTON_RTOL * (scale + E.sum())
+            dx, t = B @ step, 1.0
+            # the decrease sum_k E_k (1 - e^{t dx_k}), summed without cancellation
+            while not -float(E @ np.expm1(t * dx)) >= 0.25 * t * decrement:
+                t *= 0.5
+                if t < 1e-12:
+                    if done:
+                        return E, u
+                    raise ConvergenceError("rate function: the Newton line search stalled")
+            u_t = u + t * step
+            if np.max(np.abs(u_t)) > _LOG_TILT_LIMIT:
+                return E, u
+            x, u = x + t * dx, u_t
+            E = a * np.exp(x)
+            if done:
+                return E, u
+    raise ConvergenceError(f"rate function: Newton did not converge in {_NEWTON_STEPS} steps")
+
+
 def rate_function_general(gen: Generator, mu, sites=None, seed: int = 0) -> RateFunctionResult:
     """Rate function by minimizing sum_x mu_x (A e^u)_x e^{-u_x} over log
     tilts u with the anchor entry pinned at 0.
 
     Sites with zero weight are dropped: their tilt entries enter the
     objective linearly with nonnegative coefficients, so the infimum sends
-    them to zero and the problem restricts exactly to the support.  The
-    solve is ``_minimize_roots`` over the free entries of u with v = e^{u/2},
-    from ``RATE_RESTARTS`` starts, the first at u = 0; the restarts agree
-    when their optima lie within 1e-8.
+    them to zero and the problem restricts exactly to the support.  On the
+    support the objective is sum_x mu_x A_xx plus the terms
+    E_xy = mu_x A_xy e^{u_y - u_x} over the jumps x -> y, a sum of
+    exponentials of linear forms in u and so convex.  Its gradient is
+    sum_x E_xz - sum_y E_zy and its Hessian the graph Laplacian of the
+    weights E_xy + E_yx, singular along a constant shift of u on each
+    component of that graph but the anchor's; the minimum-norm Newton step
+    leaves those shifts alone, and they do not change the objective.  The
+    damped Newton descent (``_newton_log_tilt``) runs from
+    ``RATE_RESTARTS`` starts, the first at u = 0; the restarts agree when
+    their optima lie within 1e-8.  An infimum that is not attained is
+    approached until the Newton decrement is at rounding level, or until a
+    log tilt would pass ``_LOG_TILT_LIMIT`` (on a one-way path of more than
+    about 20 sites, reaching rounding level would need a tilt below the
+    smallest double).
     """
     sites, w = _measure_on(gen, mu, sites)
     support = [s for s, wx in zip(sites, w) if wx > 0]
@@ -115,21 +166,22 @@ def rate_function_general(gen: Generator, mu, sites=None, seed: int = 0) -> Rate
         val = float(-w_s[0] * M[0, 0])
         return RateFunctionResult(val, TiltFunction((support[0],), np.ones(1)), True, 0.0)
 
-    def objective(u_free):
-        u = np.concatenate([[0.0], u_free])
-        eu = np.exp(u)
-        flow = M @ eu
-        f = float(np.sum(w_s * np.exp(-u) * flow))
-        grad_full = -w_s * np.exp(-u) * flow + eu * ((w_s * np.exp(-u)) @ M)
-        return f, grad_full[1:]
+    diagonal = float(w_s @ np.diag(M))
+    i, j = np.nonzero(M - np.diag(np.diag(M)))
+    a = w_s[i] * M[i, j]
+    B = np.zeros((len(i), n))  # the exponent of term k is u_j - u_i = (B u)_k
+    B[np.arange(len(i)), j] = 1.0
+    B[np.arange(len(i)), i] = -1.0
 
     rng = np.random.default_rng(seed)
-    starts = (np.zeros(n - 1) if k == 0 else rng.normal(scale=0.5, size=n - 1)
-              for k in range(RATE_RESTARTS))
-    value, mu_u, spread, _ = _minimize_roots(
-        objective, starts, roots=lambda x: np.exp(0.5 * np.concatenate([[0.0], x])))
-    tilt = TiltFunction(tuple(support), mu_u / mu_u[0])  # mu is proportional to e^u
-    return RateFunctionResult(-value, tilt, spread <= 1e-8, spread)
+    starts = [np.zeros(n - 1)] + [rng.normal(scale=0.5, size=n - 1)
+                                  for _ in range(RATE_RESTARTS - 1)]
+    ends = [_newton_log_tilt(a, B[:, 1:], start, abs(diagonal)) for start in starts]
+    optima = [diagonal + float(E.sum()) for E, _ in ends]
+    best = int(np.argmin(optima))
+    spread = max(optima) - min(optima)
+    tilt = TiltFunction(tuple(support), np.exp(np.r_[0.0, ends[best][1]]))
+    return RateFunctionResult(-optima[best], tilt, spread <= 1e-8, spread)
 
 
 def density_bound(gen: Generator, spec: RangeSpec, l) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loctimes.chain import RangeSpec, validate_generator
-from loctimes.density import density_series
+from loctimes.density import ConvergenceError, density_series
 from loctimes.ldp import (
     SimplexBall,
     TiltFunction,
@@ -115,7 +115,91 @@ def test_general_matches_grid_search():
         hi = np.array([g1[i] + w1, g2[j] + w2])
     oracle = -best
     res = rate_function_general(gen, mu, gen.states)
-    assert abs(res.value - oracle) < 1e-4
+    assert abs(res.value - oracle) < 1e-12
+
+
+def test_rate_function_is_stationary_at_its_tilt():
+    # the gradient in u_z is sum_x E_xz - sum_y E_zy over the off-diagonal terms
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        gen = random_generator(n, rng)
+        mu = rng.dirichlet(np.ones(n))
+        res = rate_function_general(gen, mu, gen.states, seed=int(rng.integers(1 << 30)))
+        g = res.tilt.values  # mu > 0, so the tilt covers every state
+        terms = mu[:, None] * gen.rates * g[None, :] / g[:, None]
+        E = terms - np.diag(np.diag(terms))
+        assert np.max(np.abs(E.sum(axis=0) - E.sum(axis=1))) <= 1e-12 * np.abs(terms).sum()
+        assert res.value == pytest.approx(-terms.sum(), rel=1e-14)
+        assert res.spread <= 1e-12
+
+
+def test_rate_function_on_a_disconnected_support():
+    # two two-state blocks: per block the rate is
+    # -sum_x mu_x A_xx - 2 sqrt(mu_x mu_y A_xy A_yx)
+    A = np.array([[-1.3, 1.3, 0, 0], [0.4, -0.4, 0, 0], [0, 0, -2, 2], [0, 0, 0.7, -0.7]])
+    mu = np.array([0.1, 0.4, 0.3, 0.2])
+    closed = sum(-mu[x] * A[x, x] - mu[y] * A[y, y] - 2 * np.sqrt(mu[x] * mu[y] * A[x, y] * A[y, x])
+                 for x, y in ((0, 1), (2, 3)))
+    assert closed == pytest.approx(0.16190082811530, abs=1e-14)
+    res = rate_function_general(validate_generator(A), mu)
+    assert res.value == pytest.approx(closed, rel=1e-14)
+    assert res.restarts_agree
+
+
+def test_rate_function_infimum_not_attained():
+    # one-way 4-cycle, mu uniform on {0, 1, 2}: the objective is
+    # -1 + (e^{u_1} + e^{u_2 - u_1}) / 3, whose infimum -1 needs u -> -inf
+    A = np.roll(np.eye(4), 1, axis=1) - np.eye(4)
+    res = rate_function_general(validate_generator(A), [1 / 3, 1 / 3, 1 / 3, 0.0])
+    assert abs(res.value - 1.0) <= 1e-12
+    assert res.restarts_agree
+    assert res.tilt.sites == (0, 1, 2)
+    assert np.all(np.isfinite(res.tilt.values)) and np.all(res.tilt.values > 0)
+
+
+def test_rate_function_on_a_long_one_way_path():
+    # 0 -> 1 -> ... -> 29 at rate 1, mu uniform off the last site: the rate is
+    # 1, and rounding level would need tilts below the smallest double, so
+    # the descent stops where the log tilts reach their limit
+    n = 30
+    A = np.eye(n, k=1) - np.diag(np.r_[np.ones(n - 1), 0.0])
+    res = rate_function_general(validate_generator(A), np.r_[np.full(n - 1, 1 / (n - 1)), 0.0])
+    assert abs(res.value - 1.0) <= 1e-10
+    assert res.restarts_agree
+    assert np.all(np.isfinite(res.tilt.values)) and np.all(res.tilt.values > 0)
+
+
+def test_rate_function_restarts_agree_as_a_tilt_runs_off():
+    # no jump enters site 4, so its tilt runs to +inf; rates span 7.7e-6 to 328
+    B = np.array([[0, 0, 0, 0.43, 0, 0.045], [2.2, 0, 0, 34, 0, 0], [6.3e-5, 3.1e-3, 0, 0, 0, 0],
+                  [7.7e-6, 0, 4.2e-5, 0, 0, 26], [15, 306, 0, 0.055, 0, 0.23],
+                  [0, 328, 0, 71, 0, 0]])
+    gen = validate_generator(B - np.diag(B.sum(axis=1)))
+    mu = [0.27, 0.13, 0.07, 0.0, 0.46, 0.07]
+    values = []
+    for seed in range(3):
+        res = rate_function_general(gen, mu, seed=seed)
+        assert res.restarts_agree and res.spread <= 1e-12 * res.value
+        values.append(res.value)
+    assert max(values) - min(values) <= 1e-13 * values[0]
+
+
+def test_rate_function_raises_past_its_step_cap(monkeypatch):
+    # the not-attained infimum above needs dozens of steps per start
+    monkeypatch.setattr("loctimes.ldp._NEWTON_STEPS", 3)
+    A = np.roll(np.eye(4), 1, axis=1) - np.eye(4)
+    with pytest.raises(ConvergenceError, match="Newton"):
+        rate_function_general(validate_generator(A), [1 / 3, 1 / 3, 1 / 3, 0.0])
+
+
+def test_rate_function_needs_no_scipy_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr("loctimes.ldp.minimize", refuse)
+    gen = random_generator(4, np.random.default_rng(12))
+    assert rate_function_general(gen, [0.1, 0.2, 0.3, 0.4]).restarts_agree
 
 
 def test_invariant_measure_has_zero_rate():
