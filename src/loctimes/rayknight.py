@@ -113,6 +113,8 @@ def simulate_profiles(b: int, h: float, n_paths: int, seed: int, depth: int = 12
     """
     if b < 1 or h <= 0:
         raise ValueError("need b >= 1 and h > 0")
+    if depth < 0:
+        raise ValueError(f"need depth >= 0, got depth={depth}")
     width = b + 2 * depth + 1
     A = np.eye(width, k=1) + np.eye(width, k=-1)
     np.fill_diagonal(A, -A.sum(axis=1))
@@ -202,9 +204,17 @@ def rk_statistical_test(
     values are KS-tested through the CDF of the positive part; (c) the
     three profile segments are independent, through bounded summary
     cross-correlations.  P-value thresholds are Bonferroni-split across
-    the KS and atom tests; correlations use the fixed 4/sqrt(n) bar.
+    the KS and atom tests; correlations use the fixed 4/sqrt(n) bar, and
+    a pair whose summary is constant on the batch is skipped.  Raises
+    ``ValueError`` for a depth below 2, as the outward steps read b + 2,
+    and for fewer than 2 uncensored paths.
     """
+    if depth < 2:
+        raise ValueError(f"the battery reads site b + 2, so it needs depth >= 2, got depth={depth}")
     batch = simulate_profiles(b, h, n_paths, seed, depth=depth)
+    if len(batch.records) < 2:
+        raise ValueError(f"the battery needs at least 2 uncensored paths, got "
+                         f"{len(batch.records)} ({batch.n_censored} censored)")
     tests = []  # (name, statistic, p-value) of the KS and atom tests
 
     for x in range(b):
@@ -250,6 +260,8 @@ def rk_statistical_test(
         ("independence[right,left]", s_right, s_left),
         ("independence[inner,left-step]", s_inner, left_increment),
     ]:
+        if np.ptp(u) == 0 or np.ptp(v) == 0:  # no correlation to measure
+            continue
         c = float(np.corrcoef(u, v)[0, 1])
         outcomes.append(TestOutcome(name, abs(c), corr_threshold, float("nan"), abs(c) <= corr_threshold))
 

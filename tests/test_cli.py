@@ -115,6 +115,12 @@ def test_path_counts_below_one_exit_2(tmp_path, capsys, paths):
     assert "error: need at least one path" in capsys.readouterr().err
 
 
+def test_rayknight_test_on_one_path_exits_2(capsys):
+    # one path has no correlation to test
+    assert main(["rayknight-test", "--set", "paths=1"]) == 2
+    assert "error: the battery needs at least 2 uncensored paths, got 1" in capsys.readouterr().err
+
+
 def test_horizon_not_positive_finite_exits_2(tmp_path, capsys):
     # no path ever reaches a nan horizon
     path = write_cfg(tmp_path, TWO_STATE_CFG)

@@ -255,3 +255,32 @@ def test_series_is_the_kernel_product(lo, hi, b):
     want = _kernel_product(lo, hi, b, l)
     assert abs(res.value - want) <= 1e-10 * want
     assert abs(res.value - want) <= res.error_estimate
+
+
+def test_battery_needs_two_uncensored_paths(monkeypatch):
+    # one path has no correlation, and a fully censored batch nothing to test
+    with pytest.raises(ValueError, match=r"at least 2 uncensored paths, got 1 \(0 censored\)"):
+        rk_statistical_test(b=2, h=1.0, n_paths=1, seed=3, depth=4)
+    monkeypatch.setattr(rayknight, "MAX_EVENTS", 2)
+    with pytest.raises(ValueError, match=r"at least 2 uncensored paths, got 0 \(50 censored\)"):
+        rk_statistical_test(b=3, h=1.0, n_paths=50, seed=1, depth=2)
+
+
+def test_battery_skips_a_constant_summary(monkeypatch, small_batch):
+    # no path enters the right segment: its summary is 1 on every path
+    records = small_batch.records.copy()
+    records[:, 2 + 1 + small_batch.depth:] = 0.0
+    outcomes, _ = _battery_on(monkeypatch, small_batch, records)
+    assert "independence[inner,right]" not in outcomes
+    assert "independence[right,left]" not in outcomes
+    assert np.isfinite(outcomes["independence[inner,left-step]"].statistic)
+
+
+def test_depth_guards():
+    with pytest.raises(ValueError, match="depth=-1"):
+        simulate_profiles(b=2, h=1.0, n_paths=10, seed=1, depth=-1)
+    # depth 0 is the walk on 0..b alone
+    assert simulate_profiles(b=2, h=1.0, n_paths=10, seed=1, depth=0).records.shape == (10, 3)
+    for depth in (-1, 0, 1):
+        with pytest.raises(ValueError, match=f"depth={depth}"):
+            rk_statistical_test(b=2, h=1.0, n_paths=300, seed=4, depth=depth)

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from loctimes.chain import RangeSpec, box_srw, validate_generator
 from loctimes.oracles import killed_prob, matrix_exponential, range_exact_prob
-from loctimes.simulate import SimulationError, mc_event_functional, run_lockstep
+from loctimes.rayknight import simulate_profiles
+from loctimes import simulate
+from loctimes.simulate import BLOCK, SimulationError, mc_event_functional, run_lockstep
 
 TWO_STATE = validate_generator([[-1, 1], [1, -1]])
 
@@ -346,3 +350,82 @@ def test_rows_after_the_stop_are_not_checked():
     [(local, state, censored)] = run_lockstep(gen, 1, 5, 0, 1.0, arrays, site=5)
     assert np.all(state == 5) and not censored.any()
     assert np.all(local[:, 5] == 1.0) and np.all(local[:, 0] == 0.0)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n_paths, seed, want", [
+    (100, 7, "0c29ceda4d05328a"),
+    (300, 20061, "7d9f9543d0638dfb"),
+])
+def test_walk_records_are_pinned(n_paths, seed, want):
+    # the benchmark's walk and battery batches, pinned before the engine
+    # stopped its blocks at the last path's stop: the same jumps, bit for bit
+    batch = simulate_profiles(3, 1.0, n_paths, seed, depth=12)
+    assert batch.n_censored == 0
+    assert _digest(batch.records) == want
+
+
+@pytest.mark.parametrize("args, kwargs, n_censored, want", [
+    ((0, 300, 11, 2.0), dict(site=0), 0, "07f585baabd0d3ea"),
+    ((0, 300, 12, 3.0), {}, 0, "9b7ddfeb2cbebfc1"),
+    ((0, 300, 13, 40.0), dict(site=0, max_jumps=150), 267, "80a0c04bb3578e61"),
+], ids=["site", "horizon", "jump-cap"])
+def test_skewed_chain_runs_are_pinned(args, kwargs, n_censored, want):
+    [(local, state, censored)] = run_lockstep(SKEWED, *args, arrays, **kwargs)
+    assert int(censored.sum()) == n_censored
+    assert _digest(local, state.astype(np.int64), censored) == want
+
+
+# 0.7 + 0.2 + 0.1 rounds to 1.0000000000000002, so the star's first jump
+# row reads [0.7, 0.9, 1.0000000000000002, 1.0]: its probabilities span
+# 1e-17, and the row is sorted only up to the 1.0 set against rounding
+STAR = validate_generator([
+    [-(1.0 + 1e-17), 0.7, 0.2, 0.1, 1e-17],
+    [1, -1, 0, 0, 0], [1, 0, -1, 0, 0], [1, 0, 0, -1, 0], [1, 0, 0, 0, -1],
+])
+CYCLE = validate_generator([[-1, 1, 0, 0], [0, -1, 1, 0], [1, 0, -1, 0], [1, 0, 0, -1]])
+
+
+def test_star_jump_row_is_unsorted_at_its_end():
+    cum = STAR.jump_table[2][0]
+    assert cum[-2] > 1.0 == cum[-1]
+
+
+def _runs(case):
+    if case == "walk":
+        return [(simulate_profiles(3, 1.0, 100, 7, depth=12).records,)]
+    if case == "jump-cap":
+        # the cases of test_block_boundaries_at_the_jump_cap
+        return [run_lockstep(CYCLE, 0, n, cap, 1.0, arrays, site=3, max_jumps=cap)[0]
+                for n in (7, 1000) for cap in range(1, 41)]
+    gen, start, limit, site = {
+        "skewed-site": (SKEWED, 0, 2.0, 0),
+        "skewed-horizon": (SKEWED, 0, 3.0, None),
+        "box": (box_srw(2, 3), (0, 0), 4.0, None),
+        "star-site": (STAR, 0, 20.0, 0),
+        "star-horizon": (STAR, 0, 10.0, None),
+    }[case]
+    return [run_lockstep(gen, start, n, seed, limit, arrays, site=site)[0]
+            for n, seed in ((1, 1), (30, 2), (300, 3))]
+
+
+@pytest.mark.parametrize("case", ["walk", "jump-cap", "skewed-site", "skewed-horizon",
+                                  "box", "star-site", "star-horizon"])
+def test_fills_and_cuts_give_the_same_arrays(monkeypatch, case):
+    # every row filled by numpy's lookup or by bisect in Python, with the
+    # block's clock tested after every row or never: the same jumps
+    results = []
+    for few_paths, check_rows in ((0, BLOCK), (BLOCK, BLOCK), (0, 1), (BLOCK, 1)):
+        monkeypatch.setattr(simulate, "_FEW_PATHS", few_paths)
+        monkeypatch.setattr(simulate, "_CHECK_ROWS", check_rows)
+        results.append(_runs(case))
+    for other in results[1:]:
+        for run, ref in zip(other, results[0]):
+            for a, b in zip(run, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
