@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
+import io
 import sys
 
 import numpy as np
@@ -77,7 +79,10 @@ def build_generator(cfg: dict) -> Generator:
     if source is None:
         raise ConfigError("config needs a 'generator' entry (inline:…, file:…, or box:…)")
     if source.startswith("inline:"):
-        rates = ast.literal_eval(source[len("inline:"):])
+        try:
+            rates = ast.literal_eval(source[len("inline:"):])
+        except (SyntaxError, ValueError) as exc:
+            raise ConfigError(f"inline generator is not a literal matrix: {exc}") from exc
         states = None
         if "states" in cfg:
             states = [_state(s) for s in cfg["states"].split(",")]
@@ -86,6 +91,8 @@ def build_generator(cfg: dict) -> Generator:
         return load_generator(source[len("file:"):])
     if source.startswith("box:"):
         parts = source[len("box:"):].split(",")
+        if len(parts) not in (2, 3):
+            raise ConfigError(f"box generator expects box:dim,radius[,rate], got {source!r}")
         dim, radius = int(parts[0]), int(parts[1])
         rate = float(parts[2]) if len(parts) > 2 else 1.0
         return box_srw(dim, radius, rate)
@@ -117,10 +124,11 @@ class Table:
         self.rows.append([kwargs.get(c, "") for c in self.columns])
 
     def render(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows([_fmt(v) for v in row] for row in self.rows)
+        return out.getvalue()
 
 
 def _fmt(v) -> str:
@@ -237,6 +245,8 @@ def cmd_bounds_check(cfg, args):
     spec = build_spec(cfg)
     T = float(cfg.get("T", 1.0))
     n_points = int(cfg.get("points", 20))
+    if n_points < 1:
+        raise ConfigError("'points' must be at least 1")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     pts = _random_simplex_points(T, spec.size, n_points, rng)
     table = Table(["point", "l", "density", "density_error", "bound", "ok", "seed"])
@@ -377,7 +387,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, args.set)
         check_keys(args.command, cfg, args.set)
         table, ok = COMMANDS[args.command][0](cfg, args)
-    except (ConfigError, GeneratorError, ValueError, OSError,
+    except (ConfigError, GeneratorError, ValueError, KeyError, OSError,
             ConvergenceError, CapacityError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

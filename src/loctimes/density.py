@@ -129,13 +129,6 @@ class _MonomialTable:
     on B has needed them.  The grid batch, the point evaluations and the
     finite differences of one chain so run one recurrence between them;
     a series on other rates replaces the list.
-
-    The table keeps, too, what a batch's pass needs beyond the rates:
-    ``splits`` holds per window of degrees and per tuple of derivative
-    site sets the folded split of its monomials (``split``), built the
-    first time a batch's cost rule takes it (``_Series._split``) and kept
-    while it is among the last ``SPLITS_KEPT`` used; a series then
-    scatters its coefficients into the split's cells per call.
     """
 
     def __init__(self, support: np.ndarray):
@@ -151,7 +144,6 @@ class _MonomialTable:
         self.targets = [np.zeros(0, dtype=np.int32)]
         self.kept = 1  # monomials plus triples
         self.coef = (None, [])
-        self.splits = {}  # (lo, hi, site sets) -> _Split, last used last
 
     def size(self, K: int) -> int:
         """The number of monomials of degree <= K."""
@@ -201,74 +193,6 @@ class _MonomialTable:
             self.d_fact = np.concatenate([self.d_fact,
                                           *(np.prod(factorial(layer), axis=1) for layer in new)])
 
-    def split(self, lo: int, hi: int, Qs: tuple) -> _Split | None:
-        """The monomials of degrees lo+1 .. hi, folded with the derivative
-        site sets ``Qs`` and split into a head, the first n // 2 sites, and
-        a tail; None where a half's key would pass one int64 word or the
-        |head| x |tail| coefficients ``PASS_BLOCK``.  Built once per (lo,
-        hi, Qs) and kept in ``splits``, which holds the last
-        ``SPLITS_KEPT`` used (a None as None, without its arrays).
-
-        d/dl_Q l^d = prod_{x in Q} d_x l^(d - 1_Q), zero unless d_x >= 1 on
-        Q, and l^e = l_head^e_head l_tail^e_tail.  Each half of d is a
-        packed key, d_x <= hi / 2 (a cover through x has two sites) in
-        ``bits`` bits per site, so the key of d - 1_Q is the key of d less
-        that of 1_Q.  The distinct keys, sorted, give the head and tail
-        exponents, and each kept (monomial, term) the cell (head index,
-        tail index) of its fold."""
-        r = self.n // 2
-        bits = max(1, (hi // 2).bit_length())
-        if (self.n - r) * bits > 63:
-            return None
-        key = (lo, hi, Qs)
-        if key in self.splits:
-            self.splits[key] = self.splits.pop(key)  # now the last used
-        else:
-            if len(self.splits) == SPLITS_KEPT:
-                del self.splits[next(iter(self.splits))]
-            m0, m1 = self.size(lo), self.size(hi)
-            shift = bits * np.concatenate([np.arange(r), np.arange(self.n - r)])
-            pack = np.left_shift(1, shift)
-            d = self.powers[m0:m1].astype(np.int64)
-            head, tail = d[:, :r] @ pack[:r], d[:, r:] @ pack[r:]
-            hk, tk, entry = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.intp)]
-            for j, Q in enumerate(Qs):
-                kept = np.flatnonzero(np.all(d[:, list(Q)] > 0, axis=1))
-                hk.append(head[kept] - pack[[x for x in Q if x < r]].sum())
-                tk.append(tail[kept] - pack[[x for x in Q if x >= r]].sum())
-                entry.append(kept * len(Qs) + j)
-            hk, tk = np.concatenate(hk), np.concatenate(tk)
-            H, T = np.unique(hk), np.unique(tk)
-            mask = (1 << bits) - 1
-            self.splits[key] = None
-            if len(H) * len(T) <= PASS_BLOCK:
-                self.splits[key] = _Split(((H[:, None] >> shift[:r]) & mask).astype(float),
-                                          ((T[:, None] >> shift[r:]) & mask).astype(float),
-                                          np.searchsorted(H, hk) * len(T) + np.searchsorted(T, tk),
-                                          np.concatenate(entry))
-        return self.splits[key]
-
-
-@dataclass
-class _Split:
-    """A pass's monomials, folded with the derivatives and split into a
-    head and a tail (``_MonomialTable.split``): the distinct head and tail
-    exponents, per kept (monomial, term) the flat index of its cell among
-    the |head| x |tail| coefficients, and its flat index among the pass's
-    (monomial, term) weights."""
-    head: np.ndarray
-    tail: np.ndarray
-    cell: np.ndarray
-    entry: np.ndarray
-
-    def rows(self) -> int:
-        """The rows of a block: each buffer within ``PASS_BLOCK`` elements,
-        and the product with the coefficients under 4 ``PASS_BLOCK`` (2^19)
-        multiply-adds, below which OpenBLAS runs a GEMM on one thread; on a
-        2-vCPU host threaded GEMMs of this size at times stalled for 8 ms."""
-        H, T = len(self.head), len(self.tail)
-        return max(1, min(PASS_BLOCK // max(H, T, 1), (4 * PASS_BLOCK - 1) // max(H * T, 1)))
-
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of packed keys, sorted, and each row's index among
@@ -281,13 +205,12 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 PASS_BLOCK = 1 << 17  # elements of each of the pass's buffers (1 MB of float64)
-SPLITS_KEPT = 8  # per table; a grid call's two batches use two windows each
-# the pass's cost model (``_Series._split``), in ns on a 2-vCPU host: per row
-# and monomial, and per term; per row, per head or tail exponent and per
-# cell; per call, and per (monomial, term) for the split's build and scatter
+# the pass's cost model (``_Series._side``), in ns on a 2-vCPU host: per row
+# and monomial, and per term; per row, per head or tail cell and per cell
+# pair; per call, and per (monomial, term) for the fold into the box
 _MONOMIAL_NS = (1.3, 0.14)
 _SPLIT_NS = (2.0, 0.03)
-_BUILD_NS = (60_000, 80)
+_BUILD_NS = (20_000, 10)
 TAIL_START = 16  # degrees of a stopping search's first table of bounds
 _TABLES: dict[bytes, _MonomialTable] = {}
 
@@ -364,86 +287,95 @@ class _Series:
             self._W, self._through = np.concatenate([self._W, W]), K
         return self._W
 
-    def _pass_sum(self, logL: np.ndarray, scale: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Per row of ``logL`` = log(L), the share of the degrees lo+1 .. hi
-        in the series, before the factor exp(diag . l); ``scale`` holds per
-        row and term det_j prod_{x in Q_j} 1 / (2 l_x), which only the
-        monomial form reads.
+    def _pass_sum(self, L: np.ndarray, logL: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Per row of ``L`` (``logL`` = log(L)), the share of the degrees
+        lo+1 .. hi in the series, before the factor exp(diag . l).
 
-        A batch that pays back the build (``_split``) sums rowdot(U @ Wm,
-        V) over the pass's folded split: U and V are exp of the rows' head
-        and tail logs times the split's head and tail exponents, and Wm
-        holds det_j a_d prod_{x in Q_j} d_x in the cell of d - 1_Q, scattered
-        by one ``bincount``, so a row takes |head| + |tail| ``exp`` and one
-        GEMM row.  Otherwise the pass takes one ``exp`` per monomial, the
-        product P @ W with the weights and the row's ``scale``.
+        A batch that pays back the fold (``_side``) sums rowdot(U @ Wm, V)
+        over a dense box: with side = 1 + the pass's largest site exponent,
+        l^d has the head cell h = sum_x d_x side^x over the first r = n // 2
+        sites, the tail cell t the same over the others, and the flat index
+        h T + t among the box's H x T cells.  As d/dl_Q l^d = prod_{x in Q}
+        d_x l^(d - 1_Q), term Q moves the index down by that of 1_Q; where
+        some d_x = 0 on Q the weight is 0 (W carries prod 2 d_x), so where
+        the index lands, clipped at 0, it adds nothing.  Wm holds det_j a_d
+        prod_{x in Q_j} d_x at the index of d - 1_Q, scattered by one
+        ``bincount`` per call, and U and V are exp of the rows' head and
+        tail logs times the half cells' exponents.  Otherwise the pass takes
+        one ``exp`` per monomial, the product P @ W with the weights and per
+        row and term det_j prod_{x in Q_j} 1 / (2 l_x).
 
         The rows go through in blocks whose buffers, reused by every block,
-        hold at most ``PASS_BLOCK`` elements each (``_Split.rows``): they
-        then stay in cache, and a batch's working memory does not grow
-        with its degree."""
+        hold at most ``PASS_BLOCK`` elements each, and whose box GEMM stays
+        under 2^19 multiply-adds, which OpenBLAS runs on one thread (threaded
+        ones at times stalled 8 ms on 2 vCPUs)."""
         tab = self.table
         tab.extend(hi)
         m0, m1 = tab.size(lo), tab.size(hi)
         W = self._weights(hi)[m0:m1]
-        out = np.zeros(len(logL), dtype=W.dtype)
-        split = self._split(len(logL), lo, hi)
-        if split is None:
+        out = np.zeros(len(L), dtype=W.dtype)
+        side = self._side(len(L), lo, hi)
+        if side is None:
             # per block: exp over the monomials' exponents at every site
             exps = [(slice(None), tab.powers[m0:m1])]
             block_rows = max(1, PASS_BLOCK // max(m1 - m0, len(self.terms)))
+            scale = np.empty((len(L), len(self.terms)))
+            for j, (Q, det) in enumerate(self.terms):
+                scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
         else:
+            r, t = tab.n // 2, tab.n - tab.n // 2
+            H, T = side ** r, side ** t
+            # the flat index of each site's unit
+            unit = [side ** x * T for x in range(r)] + [side ** x for x in range(t)]
+            down = np.array([sum(unit[x] for x in Q) for Q, _ in self.terms], dtype=float)
+            cells = tab.powers[m0:m1] @ np.array(unit, dtype=float)
+            cell = np.maximum(cells - down[:, None], 0).astype(np.intp).ravel()  # as w
             folded = np.array([det * 0.5 ** len(Q) for Q, det in self.terms])
-            w = (W * folded).ravel()[split.entry]
-            size = len(split.head) * len(split.tail)
-            Wm = np.bincount(split.cell, weights=w.real, minlength=size)
+            w = (W * folded).T.ravel()
+            Wm = np.bincount(cell, weights=w.real, minlength=H * T)
             if np.iscomplexobj(w):
-                Wm = Wm + 1j * np.bincount(split.cell, weights=w.imag, minlength=size)
-            Wm = Wm.reshape(len(split.head), len(split.tail))
-            r = tab.n // 2
-            exps = [(slice(None, r), split.head), (slice(r, None), split.tail)]
-            block_rows = split.rows()
-        if not len(logL) or not all(len(e) for _, e in exps):
+                Wm = Wm + 1j * np.bincount(cell, weights=w.imag, minlength=H * T)
+            Wm = Wm.reshape(H, T)
+            # each half cell's exponents: its digits in base side, site 0 the lowest
+            exps = [(sites, (np.arange(side ** k)[:, None] // side ** np.arange(k) % side)
+                     .astype(float)) for sites, k in [(slice(None, r), r), (slice(r, None), t)]]
+            block_rows = max(1, min(PASS_BLOCK // T, (4 * PASS_BLOCK - 1) // (H * T)))
+        if not len(L) or not all(len(e) for _, e in exps):
             return out
-        bufs = [np.empty((min(block_rows, len(logL)), len(e))) for _, e in exps]
-        for start in range(0, len(logL), block_rows):
+        bufs = [np.empty((min(block_rows, len(L)), len(e))) for _, e in exps]
+        for start in range(0, len(L), block_rows):
             rows = slice(start, start + block_rows)
-            n = min(block_rows, len(logL) - start)
+            n = min(block_rows, len(L) - start)
             P = [np.exp(np.matmul(logL[rows, sites], e.T, out=buf[:n]), out=buf[:n])
                  for (sites, e), buf in zip(exps, bufs)]
-            if split is None:
+            if side is None:
                 out[rows] = np.einsum("ij,ij->i", P[0] @ W, scale[rows])
             else:
                 out[rows] = np.einsum("ij,ij->i", P[0] @ Wm, P[1])
         return out
 
-    def _split(self, rows: int, lo: int, hi: int) -> _Split | None:
-        """The table's split of the pass lo+1 .. hi where summing ``rows``
+    def _side(self, rows: int, lo: int, hi: int) -> int | None:
+        """The side of the box of the pass lo+1 .. hi where summing ``rows``
         rows through it costs less than through the monomials, else None.
-
-        The costs, in ns on a 2-vCPU host: through the monomials rows M
-        (1.3 + 0.14 J), M the pass's monomials and J the terms; through the
-        split 60,000 + 80 J M for its build and scatter, counted on every
-        call so that the form does not depend on what the table keeps, plus
-        rows (2 (|head| + |tail|) + 0.03 |head| |tail|).  The split is not
-        built unless the monomials cost more than its build, nor where its
-        J M index entries would pass ``PASS_BLOCK``, nor used where its
-        |head| |tail| coefficients would: one point, the finite
-        differences' stencils and large tables take the monomials."""
+        In ns on a 2-vCPU host the monomials cost rows M (1.3 + 0.14 J), M
+        the pass's monomials and J the terms, and the box 20,000 + 10 J M
+        for the fold, paid on every call, plus rows (2 (H + T) + 0.03 H T)
+        for its H = side^(n // 2) head and T tail cells.  The box is not
+        taken unless the monomials cost more than the fold, nor where the
+        fold's J M cells or the box's H T pass ``PASS_BLOCK``: one point,
+        the finite differences' stencils and large tables take the
+        monomials."""
         tab = self.table
-        M, J = tab.size(hi) - tab.size(lo), len(self.terms)
+        m0, m1 = tab.size(lo), tab.size(hi)
+        M, J = m1 - m0, len(self.terms)
         monomials = rows * M * (_MONOMIAL_NS[0] + _MONOMIAL_NS[1] * J)
         build = _BUILD_NS[0] + _BUILD_NS[1] * J * M
         if monomials <= build or J * M > PASS_BLOCK:
             return None
-        split = tab.split(lo, hi, tuple(tuple(Q) for Q, _ in self.terms))
-        if split is None:
-            return None
-        H, T = len(split.head), len(split.tail)
-        per_row = _SPLIT_NS[0] * (H + T) + _SPLIT_NS[1] * H * T
-        if monomials <= build + rows * per_row:
-            return None
-        return split
+        side = 1 + int(tab.powers[m0:m1].max())
+        H, T = side ** (tab.n // 2), side ** (tab.n - tab.n // 2)
+        box = build + rows * (_SPLIT_NS[0] * (H + T) + _SPLIT_NS[1] * H * T)
+        return None if H * T > PASS_BLOCK or monomials <= box else side
 
     def _majorant(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row, s and C_m = sum_j |det_j| sum_{|pi| = m} prod_{b in pi} d_b s,
@@ -488,10 +420,6 @@ class _Series:
         """
         L = np.asarray(L, dtype=float)
         logL, prefactor = np.log(L), np.exp(L @ self.diag)
-        # per row and term: det times the factors 1/(2 l_x) of the derivatives
-        scale = np.empty((len(L), len(self.terms)))
-        for j, (Q, det) in enumerate(self.terms):
-            scale[:, j] = det * np.prod(0.5 / L[:, Q], axis=1)
         s, C = self._majorant(L)
         M = len(C) - 1
         m = np.arange(M + 1)[:, None]  # a column against the rows of s
@@ -538,7 +466,7 @@ class _Series:
 
         every = slice(None)
         if degree is not None:
-            return (prefactor * self._pass_sum(logL, scale, -1, degree),
+            return (prefactor * self._pass_sum(L, logL, -1, degree),
                     bound(degree, tails(every, degree, degree)[0]), degree)
         total, K, J = np.zeros(len(L)), -1, min(TAIL_START, MAX_DEGREE)
         while True:
@@ -556,7 +484,7 @@ class _Series:
                     raise ConvergenceError(f"series not converged at degree {MAX_DEGREE}")
                 J = min(2 * J, MAX_DEGREE)
             hi = K + 1 + int(np.argmax(within))
-            total = total + self._pass_sum(logL, scale, K, hi)
+            total = total + self._pass_sum(L, logL, K, hi)
             tail = tails(every, hi, hi)[0]
             # written so that a nan bound (overflowed tail) does not stop
             if np.all(tail <= self.tol * np.abs(total)):

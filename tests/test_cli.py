@@ -1,3 +1,5 @@
+import csv
+import io
 import shlex
 from pathlib import Path
 
@@ -132,6 +134,73 @@ def test_assert_flag(tmp_path, capsys):
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=2"])
     assert main(["bounds-check", path, "--assert"]) == 0
     capsys.readouterr()
+
+
+def test_failed_assert_exits_1(capsys):
+    # over T = 100, 1000 with one restart the scaled error terms grow, so
+    # the check fails: exit 1, the table still printed, not a crash's 2
+    argv = ["rescaled", "--set", "dim=2", "--set", "T_list=100,1000", "--set", "restarts=1"]
+    assert main([*argv, "--assert"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3
+    assert "assertion failed: consistency check did not pass" in err
+    assert main(argv) == 0
+
+
+def test_bounds_check_rejects_no_points(tmp_path, capsys):
+    # points=0 printed an empty table and passed --assert
+    path = write_cfg(tmp_path, TWO_STATE_CFG)
+    assert main(["bounds-check", path, "--set", "points=0", "--assert"]) == 2
+    assert "error: 'points' must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, message", [
+    ("box:2", "box generator expects box:dim,radius[,rate]"),
+    ("inline:[[-1,1],[1,-1]", "inline generator is not a literal matrix"),
+    ("inline:rates", "inline generator is not a literal matrix"),
+])
+def test_malformed_generator_exits_2(tmp_path, capsys, source, message):
+    # an IndexError or SyntaxError traceback before, which exited 1
+    path = write_cfg(tmp_path, TWO_STATE_CFG)
+    assert main(["density-eval", path, "--set", f"generator={source}"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_rayknight_rows_read_back_as_csv(capsys):
+    # the independence tests' names hold commas, and are quoted
+    assert main(["rayknight-test", "--set", "b=2", "--set", "paths=2000"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert all(len(row) == len(header) for row in rows)
+    assert "independence[inner,right]" in [row[0] for row in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds-check", "--set", "S=5"],
+    ["rate-function", "--set", "mu=0.5,0.5", "--set", "sites=0,5"],
+])
+def test_unknown_state_exits_2(tmp_path, capsys, argv):
+    # a KeyError traceback before, which exited 1
+    path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=1"])
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert "error: 'unknown state 5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("functional", ["coordinate:0", "exp_neg:1", "product:0,1"])
+def test_mc_validate_functionals(capsys, functional):
+    # each functional of the catalog on a 3-site chain, within 4 SE of its
+    # integral, in a row that reads back with the header's field count
+    # (the comma of product:0,1 is quoted)
+    argv = ["mc-validate", "--set", "generator=inline:[[-2, 1, 1], [1, -3, 2], [1, 1, -2]]",
+            "--set", "range=0,1,2", "--set", "start=0", "--set", "end=2",
+            "--set", "paths=20000", "--set", "resolution=32",
+            "--set", f"functional={functional}", "--seed", "3", "--assert"]
+    assert main(argv) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(rows) == 1 and len(rows[0]) == len(header) == 9
+    cols = dict(zip(header, rows[0]))
+    assert cols["functional"] == functional
+    assert float(cols["diff_in_se"]) <= 4.0
+    assert float(cols["mc_std_error"]) > 0 and float(cols["integral"]) > 0
 
 
 def test_bounds_check_upper_bound_row(tmp_path, capsys):

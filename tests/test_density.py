@@ -32,7 +32,6 @@ from loctimes.density import (
     _MonomialTable,
     _TABLES,
     PASS_BLOCK,
-    SPLITS_KEPT,
     _quadrature_grid,
     _quadrature_integrand,
     _refine,
@@ -555,16 +554,16 @@ def test_point_evaluators_reject_non_finite_times(fn, l):
 
 def test_batch_blocks_match_rows_one_at_a_time():
     # 820 grid rows, the one nearest the boundary (min l = 3.7e-6) among
-    # them, summed through degree 12 by the split: its 49 x 49 coefficients
-    # take 218 rows a block, so the batch spans four blocks and its last is
-    # ragged; a lone row goes through the monomials
+    # them, summed through degree 12 by the split: its 7^2 x 7^2 box
+    # takes 218 rows a block, so the batch spans four blocks and its last
+    # is ragged; a lone row goes through the monomials
     ev = SeriesEvaluator(*bench_chain(2))
     G = simplex_grid(16)
     L = np.concatenate([G[::5], G[G.min(axis=1) < 1e-5]])
     vals, bounds = ev.values(L)
     K = ev._sum(L)[2]
-    assert ev._split(1, -1, K) is None
-    rows = ev._split(len(L), -1, K).rows()
+    assert ev._side(1, -1, K) is None and ev._side(len(L), -1, K) == 7
+    rows = (4 * PASS_BLOCK - 1) // 7 ** 4
     assert len(L) > 3 * rows and len(L) % rows
     one_pass = ev._sum(L, degree=K)[:2]
     for i, row in enumerate(L):
@@ -575,10 +574,15 @@ def test_batch_blocks_match_rows_one_at_a_time():
 
 
 def pass_sum(series, L, lo, hi):
-    """``series._pass_sum`` over the degrees lo+1 .. hi at the rows of ``L``,
-    with the per-row factors det_j prod_{x in Q_j} 0.5 / l_x of ``_sum``."""
-    scale = np.stack([det * np.prod(0.5 / L[:, Q], axis=1) for Q, det in series.terms], axis=1)
-    return series._pass_sum(np.log(L), scale, lo, hi)
+    """``series._pass_sum`` over the degrees lo+1 .. hi at the rows of ``L``."""
+    return series._pass_sum(L, np.log(L), lo, hi)
+
+
+def tight_side(series, lo, hi):
+    """The smallest box that holds the pass lo+1 .. hi: 1 + the largest
+    site exponent among its monomials (1 where it has none)."""
+    tab = series.table
+    return 1 + int(tab.powers[tab.size(lo) : tab.size(hi)].max(initial=0))
 
 
 def reference_pass(series, L, lo, hi):
@@ -617,25 +621,31 @@ def pass_case(name):
         B = np.triu(np.random.default_rng(59).uniform(0.1, 0.8, (4, 4)), 1)
         L = np.random.default_rng(61).dirichlet(np.ones(4), 3000)
         return _Series(B, [((), 1.0), ((1,), 0.5), ((0, 2), -2.0)], 1e-12), L, "monomials"
+    if name == "5-site":
+        # a head of two sites and a tail of three, terms on either half and across
+        L = np.random.default_rng(71).dirichlet(np.ones(5), 100)
+        terms = [((), 1.0), ((1,), 0.5), ((0, 3), -2.0), ((2, 4), 1.5)]
+        return _Series(rates_on(complete(5), seed=73), terms, 1e-12), L, "split"
     return SeriesEvaluator(*bench_chain(2)), np.ones((0, 4)), "monomials"  # zero rows
 
 
 @pytest.mark.parametrize("form", ["chosen", "split", "monomials"])
-@pytest.mark.parametrize("name", ["grid", "one-row", "a=b", "complex", "acyclic", "zero-rows"])
+@pytest.mark.parametrize("name", ["grid", "one-row", "a=b", "complex", "acyclic", "zero-rows",
+                                  "5-site"])
 def test_pass_matches_a_reference_sum(name, form, monkeypatch):
-    # each pass, in the form its cost rule chooses and forced into either,
-    # against the plain sum over the monomials, to 1e-13 of the sum of its
-    # terms' moduli (at a = b the sum through degree 12 falls to 3e-4 of
-    # it); the acyclic support has only l^0, which the derivative terms
-    # fold away, and no monomial past degree 0
+    # each pass, in the form its cost rule chooses and forced into either
+    # (the split's box at the smallest side that holds the pass), against
+    # the plain sum over the monomials, to 1e-13 of the sum of its terms'
+    # moduli (at a = b the sum through degree 12 falls to 3e-4 of it); the
+    # acyclic support has only l^0, which the derivative terms fold away,
+    # and no monomial past degree 0
     series, L, chosen = pass_case(name)
     series.table.extend(14)
-    assert (series._split(len(L), -1, 12) is None) == (chosen == "monomials")
-    Qs = tuple(tuple(Q) for Q, _ in series.terms)
+    assert (series._side(len(L), -1, 12) is None) == (chosen == "monomials")
     if form == "split":
-        monkeypatch.setattr(series, "_split", lambda rows, lo, hi: series.table.split(lo, hi, Qs))
+        monkeypatch.setattr(series, "_side", lambda rows, lo, hi: tight_side(series, lo, hi))
     if form == "monomials":
-        monkeypatch.setattr(series, "_split", lambda rows, lo, hi: None)
+        monkeypatch.setattr(series, "_side", lambda rows, lo, hi: None)
     for lo, hi in [(-1, 12), (8, 12), (12, 14), (-1, 0), (0, 4)]:
         got = pass_sum(series, L, lo, hi)
         want, moduli = reference_pass(series, L, lo, hi)
@@ -645,8 +655,7 @@ def test_pass_matches_a_reference_sum(name, form, monkeypatch):
 
 def test_two_state_odd_degrees_have_no_monomials(monkeypatch):
     ev = SeriesEvaluator(TWO_STATE, SPEC_AB)
-    Qs = tuple(tuple(Q) for Q, _ in ev.terms)
-    monkeypatch.setattr(ev, "_split", lambda rows, lo, hi: ev.table.split(lo, hi, Qs))
+    monkeypatch.setattr(ev, "_side", lambda rows, lo, hi: tight_side(ev, lo, hi))
     L = np.random.default_rng(67).uniform(0.5, 1.5, (50, 2))
     ev.table.extend(9)
     for lo, hi in [(0, 1), (2, 3), (8, 9)]:
@@ -662,43 +671,30 @@ def test_zero_rows_give_empty_arrays():
     assert vals.shape == bounds.shape == (0,)
 
 
-def test_point_calls_build_no_split(monkeypatch):
-    # a lone row cannot pay back the split's build, so a chain's point
-    # evaluations leave the table's splits as they were; a grid batch
-    # builds one per pass and reuses it
-    monkeypatch.setattr("loctimes.density._TABLES", {})
+def test_points_and_stencils_take_the_monomials(monkeypatch):
+    # a lone row and the finite differences' 18-row stencil batch cannot
+    # pay back the box's fold, a 512-row grid batch does; nothing is kept
+    # between calls, so a batch's bits do not depend on the batches before
     gen, spec = bench_chain(2)
-    for l in simplex_grid(4)[::9]:
-        density_series(gen, spec, l)
-        density_finite_difference(gen, spec, l)
-    tab = SeriesEvaluator(gen, spec).table
-    assert tab.splits == {}
+    forms, side = [], _Series._side
+
+    def logged(self, rows, lo, hi):
+        forms.append((rows, side(self, rows, lo, hi)))
+        return forms[-1][1]
+
+    monkeypatch.setattr(_Series, "_side", logged)
+    l = simplex_grid(4)[9]
+    density_series(gen, spec, l)
+    density_finite_difference(gen, spec, l)
+    assert {rows for rows, _ in forms} == {1, 18}
+    assert all(s is None for _, s in forms)
+    forms.clear()
     ev = SeriesEvaluator(gen, spec)
+    G = simplex_grid(8)
+    first = ev.values(G)
+    assert {rows for rows, _ in forms} == {512} and forms[0][1] is not None
     ev.values(simplex_grid(16))
-    built = dict(tab.splits)
-    assert built and all(split is not None for split in built.values())
-    ev.values(simplex_grid(16)[::-1])
-    assert all(tab.splits[key] is split for key, split in built.items())
-
-
-def test_table_keeps_the_last_splits_used(monkeypatch):
-    # the splits memo holds the last SPLITS_KEPT windows used, a hit moving
-    # its window to the end; a split whose coefficients pass PASS_BLOCK is
-    # kept as None, without its index arrays
-    tab = SeriesEvaluator(*bench_chain(2)).table
-    tab.extend(14)
-    monkeypatch.setattr(tab, "splits", {})
-    Qs = ((), (0,))
-    first = tab.split(-1, 2, Qs)
-    for hi in range(3, SPLITS_KEPT + 2):
-        tab.split(-1, hi, Qs)
-    assert first is not None and tab.split(-1, 2, Qs) is first
-    tab.split(-1, SPLITS_KEPT + 2, Qs)
-    assert len(tab.splits) == SPLITS_KEPT
-    assert (-1, 3, Qs) not in tab.splits and tab.splits[(-1, 2, Qs)] is first
-    monkeypatch.setattr("loctimes.density.PASS_BLOCK", 100)
-    assert tab.split(8, 14, Qs) is None and tab.splits[(8, 14, Qs)] is None
-    assert len(tab.splits) == SPLITS_KEPT
+    assert all(np.array_equal(a, b) for a, b in zip(first, ev.values(G)))
 
 
 def test_batch_stopping_rule_is_pinned():
@@ -745,7 +741,6 @@ def scan_stop(series, L):
     L = np.asarray(L, dtype=float)
     s, C = series._majorant(L)
     logL = np.log(L)
-    scale = np.stack([det * np.prod(0.5 / L[:, Q], axis=1) for Q, det in series.terms], axis=1)
     total, K = np.zeros(len(L)), -1
     while True:
         reach = series.tol * (np.abs(total) + 2 * closed_form_bounds(s, C, K))
@@ -753,7 +748,7 @@ def scan_stop(series, L):
                    if np.all(closed_form_bounds(s, C, k) <= reach)), None)
         if hi is None:
             return None
-        total = total + series._pass_sum(logL, scale, K, hi)
+        total = total + series._pass_sum(L, logL, K, hi)
         if np.all(closed_form_bounds(s, C, hi) <= series.tol * np.abs(total)):
             return hi, np.exp(L @ series.diag) * total
         K = hi
