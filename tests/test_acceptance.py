@@ -312,7 +312,7 @@ def test_criterion_10_rate_function():
             w1, w2 = g1[1] - g1[0], g2[1] - g2[0]
             lo = np.array([g1[i] - w1, g2[j] - w2])
             hi = np.array([g1[i] + w1, g2[j] + w2])
-        res = rate_function_general(gen, mu, gen.states, seed=trial)
+        res = rate_function_general(gen, mu, gen.states)
         worst_grid = max(worst_grid, abs(res.value - (-best)))
     ok = worst_sym <= 1e-8 and worst_grid <= 1e-4
     report(10, "rate function", ok,

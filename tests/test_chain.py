@@ -3,6 +3,7 @@ import pytest
 
 from loctimes.chain import (
     GeneratorError,
+    RangeSpec,
     box_srw,
     jump_rate_bound,
     load_generator,
@@ -65,3 +66,32 @@ def test_load_generator(tmp_path):
     path.write_text("-1 1\n1 -1\n")
     gen = load_generator(path)
     assert np.allclose(gen.rates, [[-1, 1], [1, -1]])
+
+
+@pytest.mark.parametrize("states, start, end, message", [
+    ((), 0, 0, "range must be nonempty"),
+    ((0, 1, 0), 0, 1, "duplicate"),
+    ((0, 1), 2, 1, "start state 2 not in range"),
+    ((0, 1), 0, 2, "end state 2 not in range"),
+])
+def test_range_spec_rejects(states, start, end, message):
+    with pytest.raises(ValueError, match=message):
+        RangeSpec(states, start, end)
+
+
+@pytest.mark.parametrize("rates, labels, message", [
+    ([[-1, 1, 0], [1, -1, 0]], None, "must be square"),
+    ([-1, 1], None, "must be square"),
+    ([[-1, 1], [np.nan, -1]], None, "non-finite"),
+    ([[-np.inf, np.inf], [1, -1]], None, "non-finite"),
+    ([[-1, 1], [1, -1]], ("a", "b", "c"), "number of state labels"),
+])
+def test_validate_generator_rejects(rates, labels, message):
+    with pytest.raises(GeneratorError, match=message):
+        validate_generator(rates, states=labels)
+
+
+@pytest.mark.parametrize("dim, radius", [(0, 1), (1, -1)])
+def test_box_srw_rejects_an_empty_box(dim, radius):
+    with pytest.raises(ValueError, match="need dim >= 1 and radius >= 0"):
+        box_srw(dim, radius)

@@ -203,6 +203,30 @@ def test_mc_validate_functionals(capsys, functional):
     assert float(cols["mc_std_error"]) > 0 and float(cols["integral"]) > 0
 
 
+@pytest.mark.parametrize("functional", ["product:0", "product:0,1,2", "product:0,9",
+                                        "coordinate:7", "exp_neg:"])
+def test_mc_validate_rejects_a_functional_off_the_range(tmp_path, capsys, functional):
+    # a raw unpacking or tuple.index error before, naming neither
+    path = write_cfg(tmp_path, TWO_STATE_CFG + ["paths=100"])
+    assert main(["mc-validate", path, "--set", f"functional={functional}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: functional {functional!r} needs" in err
+    assert "of the range (0, 1)" in err
+
+
+def test_mc_validate_on_one_site_compares_within_rounding(capsys):
+    # every path has the same weight, so the standard error is 0; the mean
+    # and the integral agree to rounding, not to 0 standard errors
+    argv = ["mc-validate", "--set", "generator=inline:[[-1, 1], [1, -1]]", "--set", "range=0",
+            "--set", "start=0", "--set", "end=0", "--set", "T=2", "--set", "paths=20000",
+            "--assert"]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert float(cols["mc_std_error"]) == 0.0 and cols["diff_in_se"] == ""
+    assert float(cols["mc_mean"]) == pytest.approx(np.exp(-2.0), rel=1e-12)
+
+
 def test_bounds_check_upper_bound_row(tmp_path, capsys):
     # S alone switches on the deviation bound's row
     path = write_cfg(tmp_path, TWO_STATE_CFG + ["points=2"])
@@ -235,6 +259,31 @@ def test_rate_function_command(capsys):
     mu = np.array([0.3, 0.7])
     direct = np.sqrt(mu) @ np.array([[1.0, -1.0], [-1.0, 1.0]]) @ np.sqrt(mu)
     assert abs(float(cols["value"]) - direct) < 1e-8
+    assert 0 <= float(cols["stationarity"]) <= 1e-10
+
+
+def test_rate_function_short_of_its_infimum_fails_assert(tmp_path, capsys):
+    # 0 -> 1 -> ... -> 59 at rate 1, mu uniform off the last site: the rate
+    # is 1, but the log tilts reach their limit first and leave a gradient
+    # far above rounding level
+    n = 60
+    path = tmp_path / "path.txt"
+    np.savetxt(path, np.eye(n, k=1) - np.diag(np.r_[np.ones(n - 1), 0.0]))
+    mu = ",".join([repr(1 / (n - 1))] * (n - 1) + ["0"])
+    rc = main(["rate-function", "--set", f"generator=file:{path}", "--set", f"mu={mu}",
+               "--assert"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "assertion failed" in captured.err
+    header, row = captured.out.splitlines()[:2]
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert float(cols["stationarity"]) > 1e-10
+    assert abs(float(cols["value"]) - 1.0) > 1e-7
+
+
+def test_rate_function_needs_mu(capsys):
+    assert main(["rate-function", "--set", "generator=inline:[[-1, 1], [1, -1]]"]) == 2
+    assert "config needs 'mu'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("generator, mu", [
@@ -248,6 +297,36 @@ def test_rate_function_non_finite_measure_exits_2(capsys, generator, mu):
                "--assert"])
     assert rc == 2
     assert "error: measure has non-finite weights" in capsys.readouterr().err
+
+
+def test_marginal_check_by_monte_carlo(capsys):
+    # a range of 5 sites is past the grid, so the integral is by Monte Carlo
+    argv = ["marginal-check", "--set", "generator=box:1,2", "--set", "range=-2,-1,0,1,2",
+            "--set", "start=0", "--set", "end=1", "--assert"]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert cols["mode"] == "mc"
+    assert float(cols["abs_diff"]) <= 3 * float(cols["integral_error"])
+
+
+def test_rescaled_needs_two_horizons(capsys):
+    # with one horizon there is no pair whose error terms could shrink
+    assert main(["rescaled", "--set", "T_list=100", "--assert"]) == 2
+    assert "'T_list' needs at least two horizons" in capsys.readouterr().err
+
+
+def test_state_labels_key(tmp_path, capsys):
+    cfg = ["generator=inline:[[-1, 1], [1, -1]]", "range=a,b", "start=a", "end=b", "points=1"]
+    assert main(["density-eval", write_cfg(tmp_path, cfg + ["states=a,b"])]) == 0
+    assert main(["density-eval", write_cfg(tmp_path, cfg + ["states=a,b,c"])]) == 2
+    assert "number of state labels" in capsys.readouterr().err
+
+
+def test_density_eval_rejects_no_points(tmp_path, capsys):
+    path = write_cfg(tmp_path, TWO_STATE_CFG)
+    assert main(["density-eval", path, "--set", "points=0"]) == 2
+    assert "'points' must be at least 1" in capsys.readouterr().err
 
 
 def test_chi_command(capsys):

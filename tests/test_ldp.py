@@ -14,6 +14,7 @@ from loctimes.ldp import (
     rate_function_symmetric,
     rescaled_bound_experiment,
     _box_objective,
+    _newton_log_tilt,
     _root_objective,
 )
 
@@ -47,6 +48,21 @@ def random_generator(n, rng):
     return validate_generator(A)
 
 
+def tilted_terms(gen, mu, res):
+    """mu_x A_xy g_y / g_x at the result's tilt g on mu's support."""
+    s = np.flatnonzero(mu)
+    g = res.tilt.values
+    return mu[s, None] * gen.rates[np.ix_(s, s)] * g[None, :] / g[:, None]
+
+
+def gradient_at_tilt(gen, mu, res):
+    """The largest |sum_x E_xz - sum_y E_zy| at the result's tilt, over the
+    off-diagonal terms E, relative to |sum_x mu_x A_xx| + sum E."""
+    terms = tilted_terms(gen, mu, res)
+    E = terms - np.diag(np.diag(terms))
+    return np.max(np.abs(E.sum(axis=0) - E.sum(axis=1))) / (abs(np.trace(terms)) + E.sum())
+
+
 def test_tilt_rejects_nonpositive():
     with pytest.raises(ValueError):
         TiltFunction((0, 1), np.array([1.0, 0.0]))
@@ -75,7 +91,7 @@ def test_symmetric_forms_agree():
         mu = rng.dirichlet(np.ones(n))
         sym = rate_function_symmetric(gen, mu)
         res = rate_function_general(gen, mu, gen.states)
-        assert res.restarts_agree
+        assert res.stationarity <= 1e-12
         assert abs(res.value - sym) < 1e-8
 
 
@@ -125,13 +141,10 @@ def test_rate_function_is_stationary_at_its_tilt():
         n = int(rng.integers(2, 6))
         gen = random_generator(n, rng)
         mu = rng.dirichlet(np.ones(n))
-        res = rate_function_general(gen, mu, gen.states, seed=int(rng.integers(1 << 30)))
-        g = res.tilt.values  # mu > 0, so the tilt covers every state
-        terms = mu[:, None] * gen.rates * g[None, :] / g[:, None]
-        E = terms - np.diag(np.diag(terms))
-        assert np.max(np.abs(E.sum(axis=0) - E.sum(axis=1))) <= 1e-12 * np.abs(terms).sum()
-        assert res.value == pytest.approx(-terms.sum(), rel=1e-14)
-        assert res.spread <= 1e-12
+        res = rate_function_general(gen, mu, gen.states)
+        assert res.value == pytest.approx(-tilted_terms(gen, mu, res).sum(), rel=1e-14)
+        assert 0 <= res.stationarity <= 1e-12
+        assert gradient_at_tilt(gen, mu, res) <= 1e-12
 
 
 def test_rate_function_on_a_disconnected_support():
@@ -144,7 +157,7 @@ def test_rate_function_on_a_disconnected_support():
     assert closed == pytest.approx(0.16190082811530, abs=1e-14)
     res = rate_function_general(validate_generator(A), mu)
     assert res.value == pytest.approx(closed, rel=1e-14)
-    assert res.restarts_agree
+    assert res.stationarity <= 1e-12
 
 
 def test_rate_function_infimum_not_attained():
@@ -153,36 +166,68 @@ def test_rate_function_infimum_not_attained():
     A = np.roll(np.eye(4), 1, axis=1) - np.eye(4)
     res = rate_function_general(validate_generator(A), [1 / 3, 1 / 3, 1 / 3, 0.0])
     assert abs(res.value - 1.0) <= 1e-12
-    assert res.restarts_agree
+    assert res.stationarity <= 1e-12
     assert res.tilt.sites == (0, 1, 2)
     assert np.all(np.isfinite(res.tilt.values)) and np.all(res.tilt.values > 0)
 
 
-def test_rate_function_on_a_long_one_way_path():
-    # 0 -> 1 -> ... -> 29 at rate 1, mu uniform off the last site: the rate is
-    # 1, and rounding level would need tilts below the smallest double, so
-    # the descent stops where the log tilts reach their limit
-    n = 30
+def one_way_path(n):
+    """0 -> 1 -> ... -> n-1 at rate 1, and mu uniform off the last site: the rate is 1."""
     A = np.eye(n, k=1) - np.diag(np.r_[np.ones(n - 1), 0.0])
-    res = rate_function_general(validate_generator(A), np.r_[np.full(n - 1, 1 / (n - 1)), 0.0])
+    return validate_generator(A), np.r_[np.full(n - 1, 1 / (n - 1)), 0.0]
+
+
+def test_rate_function_on_a_long_one_way_path():
+    # rounding level would need tilts below the smallest double, so the
+    # descent stops where the log tilts reach their limit: close enough at
+    # 30 sites, and short of the infimum at 60, which the certificate flags
+    gen, mu = one_way_path(30)
+    res = rate_function_general(gen, mu)
     assert abs(res.value - 1.0) <= 1e-10
-    assert res.restarts_agree
+    assert res.stationarity <= 1e-10
     assert np.all(np.isfinite(res.tilt.values)) and np.all(res.tilt.values > 0)
+    gen, mu = one_way_path(60)
+    res = rate_function_general(gen, mu)
+    assert abs(res.value - 1.0) > 1e-7 and res.stationarity > 1e-10
+    # the certificate is the gradient at the returned tilt, over the stop's scale
+    assert res.stationarity == pytest.approx(gradient_at_tilt(gen, mu, res), rel=1e-6)
 
 
-def test_rate_function_restarts_agree_as_a_tilt_runs_off():
-    # no jump enters site 4, so its tilt runs to +inf; rates span 7.7e-6 to 328
+def newton_terms(gen, mu):
+    """The objective on mu's support as ``_newton_log_tilt`` takes it: the
+    coefficients a and exponent rows B (the anchor's column dropped) of the
+    jump terms, and |sum_x mu_x A_xx|."""
+    s = np.flatnonzero(mu)
+    M = gen.rates[np.ix_(s, s)]
+    i, j = np.nonzero(M - np.diag(np.diag(M)))
+    B = np.zeros((len(i), len(s)))
+    B[np.arange(len(i)), j] = 1.0
+    B[np.arange(len(i)), i] = -1.0
+    return mu[s][i] * M[i, j], B[:, 1:], abs(float(mu[s] @ np.diag(M)))
+
+
+def test_newton_optimum_is_independent_of_the_start():
+    # the objective is convex, so every start ends at the one optimal value;
+    # on this chain no jump enters site 4, its tilt runs to +inf, and the
+    # rates span 7.7e-6 to 328
     B = np.array([[0, 0, 0, 0.43, 0, 0.045], [2.2, 0, 0, 34, 0, 0], [6.3e-5, 3.1e-3, 0, 0, 0, 0],
                   [7.7e-6, 0, 4.2e-5, 0, 0, 26], [15, 306, 0, 0.055, 0, 0.23],
                   [0, 328, 0, 71, 0, 0]])
-    gen = validate_generator(B - np.diag(B.sum(axis=1)))
-    mu = [0.27, 0.13, 0.07, 0.0, 0.46, 0.07]
-    values = []
-    for seed in range(3):
-        res = rate_function_general(gen, mu, seed=seed)
-        assert res.restarts_agree and res.spread <= 1e-12 * res.value
-        values.append(res.value)
-    assert max(values) - min(values) <= 1e-13 * values[0]
+    runs_off = validate_generator(B - np.diag(B.sum(axis=1)))
+    rng = np.random.default_rng(29)
+    chains = [(runs_off, np.array([0.27, 0.13, 0.07, 0.0, 0.46, 0.07]))]
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        chains.append((random_generator(n, rng), rng.dirichlet(np.ones(n))))
+    for gen, mu in chains:
+        a, B, scale = newton_terms(gen, mu)
+        sums = [float(_newton_log_tilt(a, B, u0, scale)[0].sum())
+                for u0 in [np.zeros(B.shape[1])] + [rng.normal(scale=2.0, size=B.shape[1])
+                                                    for _ in range(4)]]
+        assert max(sums) - min(sums) <= 1e-13 * (scale + max(sums))
+        res = rate_function_general(gen, mu)
+        assert res.value == pytest.approx(float(mu @ -np.diag(gen.rates)) - sums[0], rel=1e-14)
+        assert res.stationarity <= 1e-12
 
 
 def test_rate_function_raises_past_its_step_cap(monkeypatch):
@@ -199,7 +244,7 @@ def test_rate_function_needs_no_scipy_solver(monkeypatch):
 
     monkeypatch.setattr("loctimes.ldp.minimize", refuse)
     gen = random_generator(4, np.random.default_rng(12))
-    assert rate_function_general(gen, [0.1, 0.2, 0.3, 0.4]).restarts_agree
+    assert rate_function_general(gen, [0.1, 0.2, 0.3, 0.4]).stationarity <= 1e-12
 
 
 def test_invariant_measure_has_zero_rate():
@@ -511,3 +556,30 @@ def test_rescaled_experiment_box_sizes():
     # radius * alpha = 0.5: the box would be the single site 0
     with pytest.raises(ValueError):
         rescaled_bound_experiment(1, 0.5, [1.0])
+
+
+def test_chi_rejects_fewer_than_2_nodes_per_axis():
+    with pytest.raises(ValueError, match="at least 2 nodes per axis"):
+        chi_discrete(1, 1.0, 1)
+
+
+def test_linear_functional_rejects_a_file_of_the_wrong_size(tmp_path):
+    path = tmp_path / "v.txt"
+    np.savetxt(path, np.arange(4, dtype=float))
+    with pytest.raises(ValueError, match="does not match the lattice size"):
+        make_box_functional(f"linear:{path}", 1, 1.0, 5)
+
+
+def test_symmetric_rate_function_rejects_a_non_symmetric_generator():
+    with pytest.raises(ValueError, match="not symmetric"):
+        rate_function_symmetric(THREE_STATE, [0.2, 0.3, 0.5])
+
+
+def test_measure_as_a_dict_and_of_the_wrong_length():
+    # a dict measure's sites are its keys; the states it leaves out weigh 0
+    gen = random_generator(3, np.random.default_rng(8))
+    by_dict = rate_function_general(gen, {0: 0.4, 2: 0.6})
+    assert by_dict.tilt.sites == (0, 2)
+    assert by_dict.value == rate_function_general(gen, [0.4, 0.0, 0.6]).value
+    with pytest.raises(ValueError, match="measure length does not match site count"):
+        rate_function_general(gen, [0.5, 0.5])

@@ -249,3 +249,31 @@ def test_mc_samples_below_2_rejected(n_samples):
     chart = SimplexChart(RangeSpec((0, 1, 2), 0, 2), horizon=1.0)
     with pytest.raises(ValueError, match="at least 2 Monte Carlo samples"):
         simplex_integrate(lambda L: np.ones(len(L)), chart, mode="mc", n_samples=n_samples)
+
+
+def test_simplex_integrate_rejects_an_unknown_mode_and_a_large_grid():
+    ones = lambda L: np.ones(len(L))
+    with pytest.raises(ValueError, match="unknown mode 'sobol'"):
+        simplex_integrate(ones, SimplexChart(RangeSpec((0, 1), 0, 1), 1.0), mode="sobol")
+    with pytest.raises(ValueError, match="size up to 4"):
+        simplex_integrate(ones, SimplexChart(RangeSpec(tuple(range(5)), 0, 1), 1.0))
+
+
+@pytest.mark.parametrize("horizon, dropped, message", [
+    (0.0, None, "horizon must be positive"),
+    (-1.0, None, "horizon must be positive"),
+    (1.0, 2, "dropped coordinate must lie in the range"),
+])
+def test_simplex_chart_rejects(horizon, dropped, message):
+    with pytest.raises(ValueError, match=message):
+        SimplexChart(RangeSpec((0, 1), 0, 1), horizon, dropped)
+
+
+def test_resolvent_check_rejects_an_endpoint_outside_s():
+    with pytest.raises(ValueError, match="both endpoints must lie in S"):
+        resolvent_check(THREE_STATE, (0, 1), 0, 2, [-1.0, -1.0])
+
+
+def test_gaussian_identity_check_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="M must be square"):
+        gaussian_identity_check(np.eye(2, 3))

@@ -284,3 +284,9 @@ def test_depth_guards():
     for depth in (-1, 0, 1):
         with pytest.raises(ValueError, match=f"depth={depth}"):
             rk_statistical_test(b=2, h=1.0, n_paths=300, seed=4, depth=depth)
+
+
+@pytest.mark.parametrize("b, h", [(0, 1.0), (-1, 1.0), (2, 0.0), (2, -1.0)])
+def test_simulate_profiles_rejects_b_below_1_and_h_not_positive(b, h):
+    with pytest.raises(ValueError, match="need b >= 1 and h > 0"):
+        simulate_profiles(b=b, h=h, n_paths=10, seed=1)
