@@ -24,7 +24,6 @@ from .density import (
 )
 from .ldp import (
     SimplexBall,
-    TiltFunction,
     chi_discrete,
     density_bound,
     ldp_upper_bound_rhs,

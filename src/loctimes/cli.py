@@ -280,9 +280,9 @@ def cmd_rate_function(cfg, args):
     res = rate_function_general(gen, mu, sites)
     symmetric = _is_symmetric(gen.submatrix(sites))
     sym_value = rate_function_symmetric(gen, mu, sites) if symmetric else ""
-    table = Table(["value", "symmetric_form", "stationarity", "tilt", "seed"])
+    table = Table(["value", "symmetric_form", "stationarity", "log_tilt"])
     table.add(value=res.value, symmetric_form=sym_value, stationarity=res.stationarity,
-              tilt=";".join(f"{g:.9g}" for g in res.tilt.values), seed=args.seed)
+              log_tilt=";".join(f"{u:.9g}" for u in res.log_tilt))
     ok = res.stationarity <= 1e-10 and (not symmetric or abs(res.value - sym_value) <= 1e-8)
     return table, ok
 

@@ -20,7 +20,6 @@ from .chain import Generator, RangeSpec, as_times, jump_rate_bound
 from .density import ConvergenceError
 
 __all__ = [
-    "TiltFunction",
     "RateFunctionResult",
     "rate_function_symmetric",
     "rate_function_general",
@@ -38,27 +37,14 @@ SYMMETRY_ATOL = 1e-12
 GTOL = 1e-10
 _NEWTON_STEPS = 100  # cap on the Newton steps of the rate-function solve
 _NEWTON_RTOL = 1e-15  # its stopping decrement, relative to the objective's terms
-_LOG_TILT_LIMIT = 700.0  # |log tilt| bound that keeps e^u a normal double
-
-
-@dataclass(frozen=True)
-class TiltFunction:
-    """A strictly positive tilt, normalized to 1 at the anchor state."""
-
-    sites: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if np.any(values <= 0):
-            raise ValueError("tilt values must be strictly positive")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass
 class RateFunctionResult:
     value: float
-    tilt: TiltFunction
+    sites: tuple  # the support of mu
+    # the log of the minimizing tilt on ``sites``, 0 at the anchor (the first)
+    log_tilt: np.ndarray
     # the largest |gradient| in the log tilt at the tilt, over the Newton stop's
     # scale |sum_x mu_x A_xx| + sum E; 0 when every term is 0
     stationarity: float
@@ -104,10 +90,8 @@ def _newton_log_tilt(a, B, u, scale):
     Hessian B^T diag(a e^{Bu}) B, its minimum-norm step and Armijo
     backtracking.  Stops after the step whose Newton decrement is at
     rounding level, ``_NEWTON_RTOL`` times ``scale`` plus the sum, which
-    leaves the gradient at rounding level too; or before a step that takes
-    an entry of u past ``_LOG_TILT_LIMIT``, where e^u would leave the normal
-    doubles.  Returns the final terms and u.  ``ConvergenceError`` past
-    ``_NEWTON_STEPS`` steps."""
+    leaves the gradient at rounding level too.  Returns the final terms and
+    u.  ``ConvergenceError`` past ``_NEWTON_STEPS`` steps."""
     x = B @ u
     E = a * np.exp(x)
     # an overlong trial step reads as an infinite or nan decrease and is halved
@@ -125,10 +109,7 @@ def _newton_log_tilt(a, B, u, scale):
                     if done:
                         return E, u
                     raise ConvergenceError("rate function: the Newton line search stalled")
-            u_t = u + t * step
-            if np.max(np.abs(u_t)) > _LOG_TILT_LIMIT:
-                return E, u
-            x, u = x + t * dx, u_t
+            x, u = x + t * dx, u + t * step
             E = a * np.exp(x)
             if done:
                 return E, u
@@ -151,10 +132,8 @@ def rate_function_general(gen: Generator, mu, sites=None) -> RateFunctionResult:
     minimum-norm Newton step leaves those shifts alone, and they do not
     change the objective.  One damped Newton descent (``_newton_log_tilt``)
     runs from u = 0.  An infimum that is not attained is approached until
-    the Newton decrement is at rounding level, or until a log tilt would
-    pass ``_LOG_TILT_LIMIT``: on a one-way path of more than about 30
-    sites that stops the descent short of the infimum, and the result's
-    ``stationarity`` reads well above rounding level.
+    the Newton decrement is at rounding level; the tilt stays in logs
+    throughout, so a log tilt may grow without bound.
     """
     sites, w = _measure_on(gen, mu, sites)
     support = [s for s, wx in zip(sites, w) if wx > 0]
@@ -163,7 +142,7 @@ def rate_function_general(gen: Generator, mu, sites=None) -> RateFunctionResult:
     n = len(support)
     if n == 1:
         val = float(-w_s[0] * M[0, 0])
-        return RateFunctionResult(val, TiltFunction((support[0],), np.ones(1)), 0.0)
+        return RateFunctionResult(val, (support[0],), np.zeros(1), 0.0)
 
     diagonal = float(w_s @ np.diag(M))
     i, j = np.nonzero(M - np.diag(np.diag(M)))
@@ -175,8 +154,8 @@ def rate_function_general(gen: Generator, mu, sites=None) -> RateFunctionResult:
     E, u = _newton_log_tilt(a, B[:, 1:], np.zeros(n - 1), abs(diagonal))
     scale = abs(diagonal) + float(E.sum())
     stationarity = float(np.max(np.abs(E @ B))) / scale if scale > 0 else 0.0
-    tilt = TiltFunction(tuple(support), np.exp(np.r_[0.0, u]))
-    return RateFunctionResult(-(diagonal + float(E.sum())), tilt, stationarity)
+    return RateFunctionResult(-(diagonal + float(E.sum())), tuple(support), np.r_[0.0, u],
+                              stationarity)
 
 
 def density_bound(gen: Generator, spec: RangeSpec, l) -> float:
@@ -199,9 +178,10 @@ def density_bound(gen: Generator, spec: RangeSpec, l) -> float:
         const = np.exp(len(sites) * (1.0 + 1.0 / (4.0 * eta * T)))
         return float(np.exp(-T * rate) * prefactor * const)
     result = rate_function_general(gen, mu, sites)  # l > 0, so its tilt covers every site
-    B = A - np.diag(np.diag(A))
-    r = np.sqrt(l) / result.tilt.values
-    conjugated_sum = float(np.sum(r[:, None] * B / r[None, :]))
+    log_r = 0.5 * np.log(l) - result.log_tilt
+    # the ratio r_x / r_y may overflow where B_xy = 0, so only the jumps are summed
+    i, j = np.nonzero(A - np.diag(np.diag(A)))
+    conjugated_sum = float(np.sum(A[i, j] * np.exp(log_r[i] - log_r[j])))
     const = np.exp((1.0 / eta + 1.0 / (4.0 * eta ** 2 * T)) * conjugated_sum)
     return float(np.exp(-T * result.value) * prefactor * const)
 

@@ -247,8 +247,8 @@ class SimplexChart:
     dropped: Hashable | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:  # also rejects nan
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         d = self.dropped if self.dropped is not None else self.spec.start
         if d not in self.spec.range:
             raise ValueError("dropped coordinate must lie in the range")

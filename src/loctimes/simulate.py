@@ -246,19 +246,32 @@ def mc_event_functional(
     def reduce(local, state, _censored):
         # a state is visited exactly when its local time is positive
         ok = (state == end_idx) & np.all(local > 0, axis=1)
-        if not np.any(ok):
-            return 0.0, 0.0, 0
+        n, n_ok = len(state), int(ok.sum())
+        if not n_ok:
+            return n, 0.0, 0.0, 0
         L = local[ok]
         vals = np.asarray(F(L), dtype=float) * np.exp(-(L @ kill))
-        return float(vals.sum()), float((vals ** 2).sum()), int(ok.sum())
+        # the chunk's mean and sum of squared deviations over all n paths,
+        # the others' zeros included, formed about the shift vals[0]: paths
+        # of one weight give that weight as the mean and 0 as the sum exactly
+        shift = float(vals[0])
+        d = vals - shift
+        mean_d = float(d.sum() - (n - n_ok) * shift) / n
+        d -= mean_d
+        d *= d
+        return n, shift + mean_d, float(d.sum()) + (n - n_ok) * (shift + mean_d) ** 2, n_ok
 
     parts = run_lockstep(on_range, spec.start, n_paths, seed, T, reduce, workers=workers)
-    total = np.sum([p[0] for p in parts])
-    total_sq = np.sum([p[1] for p in parts])
-    n_acc = int(np.sum([p[2] for p in parts]))
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean ** 2, 0.0)
-    se = float(np.sqrt(var / max(n_paths - 1, 1)))
+    # the chunks combined in chunk order by Chan, Golub and LeVeque's
+    # pairwise update, which adds no rounding where the chunks agree
+    n, mean, m2, n_acc = parts[0]
+    for n_c, mean_c, m2_c, acc_c in parts[1:]:
+        delta = mean_c - mean
+        m2 += m2_c + delta ** 2 * n * n_c / (n + n_c)
+        mean += delta * n_c / (n + n_c)
+        n += n_c
+        n_acc += acc_c
+    se = float(np.sqrt(m2 / n_paths / max(n_paths - 1, 1)))
     return McEstimate(mean=float(mean), std_error=se, n_paths=n_paths, seed=seed,
                       n_accepted=n_acc, zero_accepted=n_acc == 0)
 

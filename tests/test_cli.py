@@ -249,7 +249,16 @@ def test_marginal_check(tmp_path, capsys):
     assert abs(float(cols["integral"]) - float(cols["exact"])) < 1e-4
 
 
-def test_rate_function_command(capsys):
+def one_way_path_command(tmp_path, n):
+    """``rate-function --assert`` on 0 -> 1 -> ... -> n-1 at rate 1, with mu
+    uniform off the last site, whose rate is 1."""
+    path = tmp_path / "path.txt"
+    np.savetxt(path, np.eye(n, k=1) - np.diag(np.r_[np.ones(n - 1), 0.0]))
+    mu = ",".join([repr(1 / (n - 1))] * (n - 1) + ["0"])
+    return ["rate-function", "--set", f"generator=file:{path}", "--set", f"mu={mu}", "--assert"]
+
+
+def test_rate_function_command(tmp_path, capsys):
     rc = main(["rate-function", "--set", "generator=inline:[[-1, 1], [1, -1]]",
                "--set", "mu=0.3,0.7", "--assert"])
     out = capsys.readouterr().out
@@ -260,25 +269,32 @@ def test_rate_function_command(capsys):
     direct = np.sqrt(mu) @ np.array([[1.0, -1.0], [-1.0, 1.0]]) @ np.sqrt(mu)
     assert abs(float(cols["value"]) - direct) < 1e-8
     assert 0 <= float(cols["stationarity"]) <= 1e-10
-
-
-def test_rate_function_short_of_its_infimum_fails_assert(tmp_path, capsys):
-    # 0 -> 1 -> ... -> 59 at rate 1, mu uniform off the last site: the rate
-    # is 1, but the log tilts reach their limit first and leave a gradient
-    # far above rounding level
-    n = 60
-    path = tmp_path / "path.txt"
-    np.savetxt(path, np.eye(n, k=1) - np.diag(np.r_[np.ones(n - 1), 0.0]))
-    mu = ",".join([repr(1 / (n - 1))] * (n - 1) + ["0"])
-    rc = main(["rate-function", "--set", f"generator=file:{path}", "--set", f"mu={mu}",
-               "--assert"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "assertion failed" in captured.err
-    header, row = captured.out.splitlines()[:2]
+    # the minimizing tilt is sqrt(mu) up to a constant
+    log_tilt = [float(u) for u in cols["log_tilt"].split(";")]
+    assert log_tilt == pytest.approx([0.0, 0.5 * np.log(0.7 / 0.3)], abs=1e-8)
+    # a one-way path's infimum is not attained: its log tilts run to about -2000
+    assert main(one_way_path_command(tmp_path, 60)) == 0
+    header, row = capsys.readouterr().out.splitlines()[:2]
     cols = dict(zip(header.split(","), row.split(",")))
-    assert float(cols["stationarity"]) > 1e-10
-    assert abs(float(cols["value"]) - 1.0) > 1e-7
+    assert abs(float(cols["value"]) - 1.0) <= 1e-12
+    assert float(cols["stationarity"]) <= 1e-12
+    log_tilt = [float(u) for u in cols["log_tilt"].split(";")]
+    assert len(log_tilt) == 59 and log_tilt[0] == 0.0 and min(log_tilt) < -1000
+
+
+def test_rate_function_short_of_its_infimum_fails_assert(tmp_path, capsys, monkeypatch):
+    # a Newton stop far above rounding level leaves a gradient the
+    # certificate flags
+    monkeypatch.setattr("loctimes.ldp._NEWTON_RTOL", 1e-3)
+    for n in (10, 60):
+        rc = main(one_way_path_command(tmp_path, n))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "assertion failed" in captured.err
+        header, row = captured.out.splitlines()[:2]
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["stationarity"]) > 1e-10
+        assert abs(float(cols["value"]) - 1.0) > 1e-7
 
 
 def test_rate_function_needs_mu(capsys):

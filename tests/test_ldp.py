@@ -5,7 +5,6 @@ from loctimes.chain import RangeSpec, validate_generator
 from loctimes.density import ConvergenceError, density_series
 from loctimes.ldp import (
     SimplexBall,
-    TiltFunction,
     chi_discrete,
     density_bound,
     ldp_upper_bound_rhs,
@@ -49,10 +48,15 @@ def random_generator(n, rng):
 
 
 def tilted_terms(gen, mu, res):
-    """mu_x A_xy g_y / g_x at the result's tilt g on mu's support."""
+    """mu_x A_xy e^{u_y - u_x} at the result's log tilt u on mu's support,
+    formed only where A_xy is nonzero: elsewhere e^{u_y - u_x} may overflow."""
     s = np.flatnonzero(mu)
-    g = res.tilt.values
-    return mu[s, None] * gen.rates[np.ix_(s, s)] * g[None, :] / g[:, None]
+    M = gen.rates[np.ix_(s, s)]
+    u = res.log_tilt
+    i, j = np.nonzero(M)
+    terms = np.zeros_like(M)
+    terms[i, j] = mu[s][i] * M[i, j] * np.exp(u[j] - u[i])
+    return terms
 
 
 def gradient_at_tilt(gen, mu, res):
@@ -61,11 +65,6 @@ def gradient_at_tilt(gen, mu, res):
     terms = tilted_terms(gen, mu, res)
     E = terms - np.diag(np.diag(terms))
     return np.max(np.abs(E.sum(axis=0) - E.sum(axis=1))) / (abs(np.trace(terms)) + E.sum())
-
-
-def test_tilt_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        TiltFunction((0, 1), np.array([1.0, 0.0]))
 
 
 def test_measure_validation():
@@ -100,9 +99,8 @@ def test_symmetric_minimizer_is_sqrt_measure():
     gen = random_symmetric_generator(3, rng)
     mu = np.array([0.2, 0.5, 0.3])
     res = rate_function_general(gen, mu, gen.states)
-    g = res.tilt.values
-    target = np.sqrt(mu) / np.sqrt(mu[0])
-    assert np.allclose(g, target, atol=1e-6)
+    target = 0.5 * np.log(mu / mu[0])
+    assert np.allclose(res.log_tilt, target, atol=1e-6)
 
 
 def test_general_matches_grid_search():
@@ -167,8 +165,8 @@ def test_rate_function_infimum_not_attained():
     res = rate_function_general(validate_generator(A), [1 / 3, 1 / 3, 1 / 3, 0.0])
     assert abs(res.value - 1.0) <= 1e-12
     assert res.stationarity <= 1e-12
-    assert res.tilt.sites == (0, 1, 2)
-    assert np.all(np.isfinite(res.tilt.values)) and np.all(res.tilt.values > 0)
+    assert res.sites == (0, 1, 2)
+    assert res.log_tilt[0] == 0.0 and np.all(np.isfinite(res.log_tilt))
 
 
 def one_way_path(n):
@@ -178,19 +176,16 @@ def one_way_path(n):
 
 
 def test_rate_function_on_a_long_one_way_path():
-    # rounding level would need tilts below the smallest double, so the
-    # descent stops where the log tilts reach their limit: close enough at
-    # 30 sites, and short of the infimum at 60, which the certificate flags
-    gen, mu = one_way_path(30)
-    res = rate_function_general(gen, mu)
-    assert abs(res.value - 1.0) <= 1e-10
-    assert res.stationarity <= 1e-10
-    assert np.all(np.isfinite(res.tilt.values)) and np.all(res.tilt.values > 0)
-    gen, mu = one_way_path(60)
-    res = rate_function_general(gen, mu)
-    assert abs(res.value - 1.0) > 1e-7 and res.stationarity > 1e-10
-    # the certificate is the gradient at the returned tilt, over the stop's scale
-    assert res.stationarity == pytest.approx(gradient_at_tilt(gen, mu, res), rel=1e-6)
+    # rounding level needs tilts far below the smallest double (log tilts
+    # near -1000 at 30 sites, -7000 at 200), which the log tilt holds
+    for n in (30, 60, 200):
+        gen, mu = one_way_path(n)
+        res = rate_function_general(gen, mu)
+        assert abs(res.value - 1.0) <= 1e-12
+        assert res.stationarity <= 1e-12
+        assert res.log_tilt[0] == 0.0 and np.all(np.isfinite(res.log_tilt))
+        # the certificate is the gradient at the returned tilt, over the stop's scale
+        assert gradient_at_tilt(gen, mu, res) <= 1e-12
 
 
 def newton_terms(gen, mu):
@@ -260,7 +255,7 @@ def test_rate_function_singleton_support():
     gen = random_generator(3, np.random.default_rng(5))
     res = rate_function_general(gen, [0.0, 1.0, 0.0], gen.states)
     assert res.value == pytest.approx(-gen.rates[1, 1])
-    assert res.tilt.sites == (1,)
+    assert res.sites == (1,) and res.log_tilt.tolist() == [0.0]
 
 
 def test_density_bound_dominates_symmetric():
@@ -283,6 +278,29 @@ def test_density_bound_dominates_general():
         res = density_series(gen, spec, dict(zip(range(3), l)))
         bound = density_bound(gen, spec, l)
         assert res.value <= bound + res.error_estimate
+
+
+def killed_one_way_path(n):
+    """0 -> 1 -> ... -> n at rate 1, on the range of the first n sites from
+    0 to n - 1: the last site of the range is left at rate 1."""
+    A = np.eye(n + 1, k=1) - np.diag(np.r_[np.ones(n), 0.0])
+    return validate_generator(A), RangeSpec(tuple(range(n)), 0, n - 1)
+
+
+def test_density_bound_where_the_tilt_runs_off():
+    # l uniform with sum 2: the rate of l / T is 1, approached as each log
+    # tilt step u_{x+1} - u_x runs to -inf, so the ratio r_{x+1} / r_x
+    # overflows where it meets the zero rate B_{x+1,x}; only the jumps
+    # x -> x + 1 enter the conjugated sum
+    gen, spec = killed_one_way_path(4)
+    l = np.full(4, 0.5)
+    res = density_series(gen, spec, l)
+    assert res.value <= density_bound(gen, spec, l)
+    gen, spec = killed_one_way_path(40)
+    l = np.full(40, 0.05)
+    assert np.isfinite(density_bound(gen, spec, l))
+    rate = rate_function_general(gen, l / 2.0, spec.range)
+    assert abs(rate.value - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("l, message", [
@@ -579,7 +597,7 @@ def test_measure_as_a_dict_and_of_the_wrong_length():
     # a dict measure's sites are its keys; the states it leaves out weigh 0
     gen = random_generator(3, np.random.default_rng(8))
     by_dict = rate_function_general(gen, {0: 0.4, 2: 0.6})
-    assert by_dict.tilt.sites == (0, 2)
+    assert by_dict.sites == (0, 2)
     assert by_dict.value == rate_function_general(gen, [0.4, 0.0, 0.6]).value
     with pytest.raises(ValueError, match="measure length does not match site count"):
         rate_function_general(gen, [0.5, 0.5])

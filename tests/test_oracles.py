@@ -262,6 +262,8 @@ def test_simplex_integrate_rejects_an_unknown_mode_and_a_large_grid():
 @pytest.mark.parametrize("horizon, dropped, message", [
     (0.0, None, "horizon must be positive"),
     (-1.0, None, "horizon must be positive"),
+    (np.nan, None, "horizon must be positive and finite"),
+    (np.inf, None, "horizon must be positive and finite"),
     (1.0, 2, "dropped coordinate must lie in the range"),
 ])
 def test_simplex_chart_rejects(horizon, dropped, message):

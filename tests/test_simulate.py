@@ -61,19 +61,17 @@ def test_mean_local_time_matches_semigroup():
 
 
 def test_no_jump_probability():
-    T = 1.5
-    est = mc_event_functional(
-        TWO_STATE,
-        RangeSpec((0,), 0, 0),
-        T,
-        lambda L: np.ones(len(L)),
-        n_paths=100_000,
-        seed=3,
-    )
     # the one-state range chain never jumps, so every path has the weight
-    # e^{-T} of staying put: the estimate is exact
-    assert est.mean == pytest.approx(np.exp(-T), rel=1e-15, abs=0)
-    assert est.std_error == 0.0
+    # e^{-kT} of staying put, k the rate of leaving the site: the estimate
+    # is exact, and its standard error 0 with one chunk of paths or two
+    three_state = validate_generator([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
+    for gen, site, k, T, n_paths in [(TWO_STATE, 0, 1.0, 1.5, 100_000),
+                                     (three_state, 1, 2.0, 0.5, 20_000),
+                                     (three_state, 1, 2.0, 2.0, 20_000)]:
+        est = mc_event_functional(gen, RangeSpec((site,), site, site), T,
+                                  lambda L: np.ones(len(L)), n_paths=n_paths, seed=3)
+        assert est.mean == pytest.approx(np.exp(-k * T), rel=1e-15, abs=0)
+        assert est.std_error == 0.0
 
 
 def test_absorbing_chain_event_probability():
